@@ -12,6 +12,14 @@ exercise them permutes labels inside classes of vertices with identical
 neighborhoods, driven by a fixed linear congruential generator
 (x -> 1664525*x + 1013904223 mod 2^32) feeding a Fisher-Yates shuffle, so
 scrambles are reproducible from the seed alone.
+
+Verification contract: make_balanced is the only full check (all weights and
+every edge's twin pairing, O(|E|)).  Steps proven to preserve balance -- the
+lemma swaps and the scramble -- move labels only between vertices with one
+shared neighborhood, so every neighborhood keeps its set of labels.  They
+check that premise locally (O(degree) per swap) and carry the twin map
+forward instead of recomputing it.  couple_layers verifies its result once,
+on exit, so what it returns is checked end to end.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .magic import Labeling, verify_balanced
+from .magic import Labeling, label_positions, verify_balanced
 from .products import DIRECT, LEXICOGRAPHIC, ProductGraph
 
 CLOSED_H_LAYER = "closed_H_layer"
@@ -28,7 +36,9 @@ COUPLED_PAIRS = "coupled_pairs"
 
 @dataclass(frozen=True)
 class BalancedProductLabeling:
-    """A product labeling verified balanced, with its twin involution.
+    """A product labeling known to be balanced, with its twin involution:
+    verified by make_balanced, or derived from such a value by a step that
+    preserves balance by proof.
 
     twins[v] is the vertex holding the complementary label |V|+1-l(v).
     """
@@ -55,9 +65,28 @@ def _twin_coords(bl: BalancedProductLabeling, gi: int, hi: int) -> tuple[int, in
 
 
 def _exchange(bl: BalancedProductLabeling, a: int, b: int) -> BalancedProductLabeling:
+    """Exchange the labels of a and b, which must share one neighborhood.
+
+    Every neighborhood then keeps its set of labels, so weights and balance
+    hold without re-verification.  The new twin map is the old one conjugated
+    by the transposition s = (a b): the new labels are l o s, so the vertex
+    holding the complement of l(s(v)) is s(twins[s(v)]).  Only a, b and the
+    images of their old twins can change.
+    """
+    base = bl.product.base
+    if base.neighbor_set(a) != base.neighbor_set(b):
+        raise AssertionError(f"exchange premise fails: N({a}) != N({b})")
     vals = list(bl.labeling.values)
     vals[a], vals[b] = vals[b], vals[a]
-    return make_balanced(bl.product, Labeling(tuple(vals)))
+
+    def s(v):
+        return b if v == a else a if v == b else v
+
+    old = bl.twins
+    twins = list(old)
+    for v in {a, b, s(old[a]), s(old[b])}:
+        twins[v] = s(old[s(v)])
+    return BalancedProductLabeling(bl.product, Labeling(tuple(vals)), tuple(twins))
 
 
 def _require(condition, message):
@@ -152,6 +181,10 @@ def couple_layers(bl: BalancedProductLabeling, on_swap=None):
 
     on_swap, when given, is called as on_swap(before, after, lemma_name) for
     every exchange.
+
+    Each exchange checks only its lemma's premise (the two vertices share one
+    neighborhood) and carries the twin map forward; the rewritten labeling is
+    verified balanced once, on exit, by make_balanced.
     """
     prod = bl.product
     if prod.kind != DIRECT:
@@ -174,15 +207,21 @@ def couple_layers(bl: BalancedProductLabeling, on_swap=None):
     pairs = []
     while True:
         if not remaining:
-            return bl, CoupleOutcome(COUPLED_PAIRS, pairs=tuple(pairs), swaps=swaps)
+            return make_balanced(prod, bl.labeling), CoupleOutcome(
+                COUPLED_PAIRS, pairs=tuple(pairs), swaps=swaps
+            )
         if len(remaining) == 1:
             g = next(iter(remaining))
             if not _layer_closed(bl, g):
                 raise AssertionError("last remaining H-layer must be twin-closed")
-            return bl, CoupleOutcome(CLOSED_H_LAYER, closed_g=g, swaps=swaps)
+            return make_balanced(prod, bl.labeling), CoupleOutcome(
+                CLOSED_H_LAYER, closed_g=g, swaps=swaps
+            )
         g = min(remaining)
         if _layer_closed(bl, g):
-            return bl, CoupleOutcome(CLOSED_H_LAYER, closed_g=g, swaps=swaps)
+            return make_balanced(prod, bl.labeling), CoupleOutcome(
+                CLOSED_H_LAYER, closed_g=g, swaps=swaps
+            )
 
         # pick the partner layer g' from the smallest cross twin, aligning it
         gp = None
@@ -196,7 +235,8 @@ def couple_layers(bl: BalancedProductLabeling, on_swap=None):
         assert gp is not None and gp in remaining
 
         while True:
-            state = [_twin_coords(bl, g, h) for h in range(hsize)]
+            lo = prod.encode(g, 0)
+            state = [prod.decode(t) for t in bl.twins[lo : lo + hsize]]
             if all(state[h] == (gp, h) for h in range(hsize)):
                 break
             anchor = next(h for h in range(hsize) if state[h] == (gp, h))
@@ -320,7 +360,8 @@ def equal_neighborhood_classes(graph) -> list[list[int]]:
 def scramble_balanced(bl: BalancedProductLabeling, seed: int) -> BalancedProductLabeling:
     """Permute labels inside each equal-neighborhood class, deterministically
     from the seed.  Weights and the twin condition are preserved because any
-    neighborhood contains all or none of each class."""
+    neighborhood contains all or none of each class; the twin map is read off
+    the new labels instead of re-verifying."""
     rng = _Lcg(seed)
     values = list(bl.labeling.values)
     for cls in equal_neighborhood_classes(bl.product.base):
@@ -332,4 +373,7 @@ def scramble_balanced(bl: BalancedProductLabeling, seed: int) -> BalancedProduct
             labels[i], labels[j] = labels[j], labels[i]
         for v, lab in zip(cls, labels):
             values[v] = lab
-    return make_balanced(bl.product, Labeling(tuple(values)))
+    labeling = Labeling(tuple(values))
+    pos = label_positions(labeling)
+    n = len(values)
+    return BalancedProductLabeling(bl.product, labeling, tuple(pos[n - x] for x in values))

@@ -30,8 +30,8 @@ from distmagic.graphs import (
     path,
     regularity,
 )
-from distmagic.magic import Labeling, theoretical_k, verify_balanced
-from distmagic.products import DIRECT, LEXICOGRAPHIC, product
+from distmagic.magic import Labeling, theoretical_k, verify_balanced, verify_distance_magic
+from distmagic.products import CARTESIAN, DIRECT, LEXICOGRAPHIC, product
 from distmagic.search import EXHAUSTED_NONE, FOUND, find_distance_magic
 
 C4_LAB = label_c4()
@@ -227,6 +227,20 @@ def test_grid_rejects_non_bijection():
 )
 def test_classify_cycle_direct(m, n, verdict):
     assert classify_cycle_direct(m, n) == verdict
+
+
+def test_classify_cycle_cartesian_c6_c3_exception():
+    witness = [1, 4, 11, 10, 14, 17, 6, 7, 3, 18, 15, 8, 9, 5, 2, 13, 12, 16]
+    c6c3 = product(CARTESIAN, cycle(6), cycle(3)).base
+    report = verify_distance_magic(c6c3, Labeling(tuple(witness)))
+    assert report.is_distance_magic and report.magic_constant == 38
+    # the same labeling with the factors swapped: (i, j) of C6 x C3 is (j, i) of C3 x C6
+    swapped = tuple(witness[i * 3 + j] for j in range(3) for i in range(6))
+    report = verify_distance_magic(product(CARTESIAN, cycle(3), cycle(6)).base, Labeling(swapped))
+    assert report.is_distance_magic and report.magic_constant == 38
+    assert classify_cycle_cartesian(3, 6) is True
+    assert classify_cycle_cartesian(6, 3) is True
+    assert not classify_cycle_cartesian(3, 3) and not classify_cycle_cartesian(4, 3)
 
 
 def test_classify_others():

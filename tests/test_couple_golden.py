@@ -1,0 +1,70 @@
+"""Golden outputs of layer coupling.
+
+The expected strings pin the whole `couple` stdout (outcome, pairs, swap count
+and extracted labeling), and the digests pin every intermediate labeling and
+twin map of a coupling, so any change to the swap sequence shows here.
+"""
+
+import hashlib
+
+import pytest
+
+from distmagic.cli import main
+from distmagic.constructors import label_complete_bipartite, label_direct
+from distmagic.graphs import complete_bipartite, cycle
+from distmagic.products import DIRECT, product
+from distmagic.rearrange import couple_layers, make_balanced, scramble_balanced
+
+COUPLE_GOLDEN = [
+    ("cycle:4", "cycle:4", 1, "outcome=closed_H_layer\nclosed_g=1\nswaps=2\nfactor=H\n0 1\n1 2\n2 4\n3 3\n"),
+    ("cycle:4", "cycle:4", 2, "outcome=coupled_pairs\npairs=0-2,1-3\nswaps=4\nfactor=G\n0 1\n1 2\n2 4\n3 3\n"),
+    ("cycle:4", "cycle:4", 3, "outcome=closed_H_layer\nclosed_g=0\nswaps=0\nfactor=H\n0 1\n1 2\n2 4\n3 3\n"),
+    ("kbip:3,3", "cycle:4", 1, "outcome=closed_H_layer\nclosed_g=1\nswaps=3\nfactor=H\n0 1\n1 2\n2 4\n3 3\n"),
+    ("kbip:3,3", "cycle:4", 2, "outcome=closed_H_layer\nclosed_g=1\nswaps=5\nfactor=H\n0 1\n1 2\n2 4\n3 3\n"),
+    ("kbip:3,3", "cycle:4", 3, "outcome=closed_H_layer\nclosed_g=2\nswaps=6\nfactor=H\n0 1\n1 2\n2 4\n3 3\n"),
+    ("cycle:3", "kbip:4,4", 1, "outcome=closed_H_layer\nclosed_g=0\nswaps=0\nfactor=H\n0 1\n1 8\n2 2\n3 7\n4 3\n5 4\n6 6\n7 5\n"),
+    ("cycle:3", "kbip:4,4", 2, "outcome=closed_H_layer\nclosed_g=0\nswaps=0\nfactor=H\n0 1\n1 2\n2 8\n3 7\n4 3\n5 4\n6 5\n7 6\n"),
+    ("cycle:3", "kbip:4,4", 3, "outcome=closed_H_layer\nclosed_g=0\nswaps=0\nfactor=H\n0 1\n1 2\n2 7\n3 8\n4 3\n5 4\n6 5\n7 6\n"),
+    ("cycle:8", "cycle:4", 1, "outcome=closed_H_layer\nclosed_g=0\nswaps=0\nfactor=H\n0 1\n1 2\n2 4\n3 3\n"),
+    ("cycle:8", "cycle:4", 2, "outcome=closed_H_layer\nclosed_g=0\nswaps=0\nfactor=H\n0 1\n1 2\n2 4\n3 3\n"),
+    ("cycle:8", "cycle:4", 3, "outcome=closed_H_layer\nclosed_g=0\nswaps=0\nfactor=H\n0 1\n1 2\n2 4\n3 3\n"),
+    ("kbip:4,4", "cycle:4", 1, "outcome=coupled_pairs\npairs=0-3,1-2,4-6,5-7\nswaps=11\nfactor=G\n0 1\n1 2\n2 7\n3 8\n4 3\n5 4\n6 6\n7 5\n"),
+    ("kbip:4,4", "cycle:4", 3, "outcome=coupled_pairs\npairs=0-2,1-3,4-7,5-6\nswaps=14\nfactor=G\n0 1\n1 2\n2 8\n3 7\n4 3\n5 4\n6 5\n7 6\n"),
+    ("kminusm:8", "cycle:4", 2, "outcome=closed_H_layer\nclosed_g=4\nswaps=4\nfactor=H\n0 1\n1 2\n2 4\n3 3\n"),
+    ("kminusm:8", "cycle:4", 4, "outcome=closed_H_layer\nclosed_g=6\nswaps=5\nfactor=H\n0 1\n1 2\n2 4\n3 3\n"),
+]
+
+
+@pytest.mark.parametrize("g,h,seed,expected", COUPLE_GOLDEN)
+def test_couple_stdout_golden(capsys, g, h, seed, expected):
+    status = main(["couple", "--kind", "direct", "--g", g, "--h", h, "--seed", str(seed)])
+    assert status == 0
+    assert capsys.readouterr().out == expected
+
+
+# (a, seed, swaps, digest of every (lemma, labeling, twins) after a swap,
+#  digest of the (scrambled, coupled) labeling pair) for C4 x K_{a,a}
+SWAP_TRAIL_GOLDEN = [
+    (4, 1, 7, "f5a431f6a3b9e03b", "523b354747f401f7"),
+    (4, 2, 10, "20959c713d076fc2", "b098a6c13aef9a65"),
+    (8, 1, 25, "9a1d320037df4b1d", "e6cc47d85bffcfe5"),
+    (8, 2, 25, "92af05b7547c9a83", "0c686ba8c9462181"),
+]
+
+
+@pytest.mark.parametrize("a,seed,swaps,trail,endpoints", SWAP_TRAIL_GOLDEN)
+def test_couple_swap_trail_golden(a, seed, swaps, trail, endpoints):
+    g, h = cycle(4), complete_bipartite(a, a)
+    p = product(DIRECT, g, h)
+    bl = make_balanced(p, label_direct(g, h, label_complete_bipartite(a // 2)))
+    bl = scramble_balanced(bl, seed)
+    digest = hashlib.sha256()
+
+    def on_swap(before, after, lemma):
+        digest.update(f"{lemma}:{after.labeling.values}:{after.twins}\n".encode())
+
+    out, outcome = couple_layers(bl, on_swap=on_swap)
+    assert outcome.swaps == swaps
+    assert digest.hexdigest()[:16] == trail
+    pair = repr((bl.labeling.values, out.labeling.values)).encode()
+    assert hashlib.sha256(pair).hexdigest()[:16] == endpoints

@@ -42,7 +42,9 @@ def assert_swap_postconditions(before, after, twin_a, twin_b):
     assert sorted(before.labeling.values) == sorted(after.labeling.values)
     base = before.product.base
     assert weights(base, before.labeling) == weights(base, after.labeling)
-    assert verify_balanced(base, after.labeling).is_balanced
+    report = verify_balanced(base, after.labeling)
+    assert report.is_balanced
+    assert after.twins == report.twin_map
     assert after.twins[twin_a] == twin_b
 
 
@@ -94,6 +96,21 @@ def test_swap_lemma2_requires_distinct_h():
     bl = scramble_balanced(direct_bl(C4), seed=9)
     with pytest.raises(InputError, match="pairwise distinct"):
         swap_lemma2(bl, 1, 3, 1, 0, 0)
+
+
+def test_exchange_premise_rejects_twins_with_different_neighborhoods():
+    bl = direct_bl(cycle(3))
+    enc = bl.product.encode
+    v1, v2 = enc(0, 0), enc(1, 1)
+    base = bl.product.base
+    assert base.neighbor_set(v2) != base.neighbor_set(enc(1, 0))
+    # claim (0,0) and (1,1) are twins: lemma 1 would then exchange the labels
+    # of (1,1) and (1,0), whose neighborhoods differ in C3 x C4
+    twins = list(bl.twins)
+    twins[v1], twins[v2] = v2, v1
+    forged = BalancedProductLabeling(bl.product, bl.labeling, tuple(twins))
+    with pytest.raises(AssertionError, match="premise"):
+        swap_lemma1(forged, v1, v2)
 
 
 def test_swap_lemma3_on_scrambled_k33xc4():
@@ -177,6 +194,7 @@ def test_all_three_lemmas_fire_on_k33xc4():
             wb = weights(before.product.base, before.labeling)
             wa = weights(after.product.base, after.labeling)
             assert wb == wa
+            assert after.twins == verify_balanced(after.product.base, after.labeling).twin_map
 
         bl2, outcome = couple_layers(bl, on_swap=cb)
         axis, lab = extract_factor_labeling(bl2, outcome)
@@ -233,7 +251,9 @@ def test_scramble_deterministic_and_class_confined():
         a = scramble_balanced(bl0, seed)
         b = scramble_balanced(bl0, seed)
         assert a.labeling == b.labeling
-        assert verify_balanced(a.product.base, a.labeling).is_balanced
+        report = verify_balanced(a.product.base, a.labeling)
+        assert report.is_balanced
+        assert a.twins == report.twin_map
         # each label stays inside its vertex class
         for v in range(16):
             old_holder = bl0.labeling.values.index(a.labeling.values[v])
