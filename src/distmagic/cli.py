@@ -182,6 +182,9 @@ def cmd_search(args) -> int:
     lines.append(f"steps={outcome.stats.steps}")
     prunes = ",".join(f"{k}:{v}" for k, v in sorted(outcome.stats.prunes.items()))
     lines.append(f"prunes={prunes}")
+    if outcome.stats.forced_equal is not None:
+        u, v = outcome.stats.forced_equal
+        lines.append(f"forced_equal={u},{v}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if outcome.tag == search.FOUND else 1
 
@@ -303,7 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive distance magic search")
     p.add_argument("--graph", required=True)
-    p.add_argument("--budget", type=int, help="node cap; omitted means unlimited")
+    p.add_argument(
+        "--budget",
+        type=int,
+        help="cap on backtracking nodes, not on the kernel precheck before them; "
+        "omitted means unlimited",
+    )
     p.add_argument("--out")
     p.set_defaults(fn=cmd_search)
 

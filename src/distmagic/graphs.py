@@ -56,7 +56,7 @@ class Graph:
         for u, v in self.sorted_edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        return tuple([tuple(sorted(a)) for a in nbrs])
 
     @cached_property
     def _adjacency_sets(self) -> tuple[frozenset, ...]:

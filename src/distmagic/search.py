@@ -5,6 +5,15 @@ oracle for the closed-form classifiers.  An `exhausted_none` outcome is a
 certificate that the full (pruned) space contains no labeling; every prune
 below is admissible, so pruning never changes the found/none answer.
 
+Before any backtracking, the kernel precheck reads the definition as a
+linear system.  A labeling l with constant k solves A*l = k*1, so (l, k)
+lies in the rational null space of [A | -1].  The reduced row echelon form
+writes every coordinate of that space as a fixed combination of the free
+columns; when two vertices u < v get the same combination, every vector of
+the space has l(u) = l(v), so no bijection exists and the search stops with
+`kernel_forced_equal` and the pair (u, v).  The elimination is fraction-free
+on Python ints, so the certificate is exact.
+
 Vertex order is fixed (descending degree, ties by id) and candidate labels
 are tried in ascending order, so the returned witness is the
 lexicographically first label sequence along that vertex order, and runs are
@@ -14,6 +23,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .graphs import Graph, regularity
 from .magic import Labeling
@@ -25,7 +35,12 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Node cap for one search; None means unlimited."""
+    """Node cap for one search; None means unlimited.
+
+    The cap counts backtracking nodes only.  The kernel precheck runs before
+    the first node and is not bounded by it; on large dense graphs its exact
+    elimination can take seconds.
+    """
 
     max_nodes: int | None = None
 
@@ -39,6 +54,7 @@ class SearchStats:
     nodes: int = 0  # assignments pushed
     steps: int = 0  # candidate labels tried
     prunes: dict = field(default_factory=dict)
+    forced_equal: tuple[int, int] | None = None  # pair behind kernel_forced_equal
 
     def prune(self, reason: str):
         self.prunes[reason] = self.prunes.get(reason, 0) + 1
@@ -62,7 +78,9 @@ def find_distance_magic(g: Graph, budget: SearchBudget | None = None) -> SearchO
     Fast paths: odd-regular graphs are rejected outright, and for regular
     graphs the magic constant is pinned to r(n+1)/2.  Irregular graphs are
     searched once per candidate k in the rearrangement bounds
-    ceil(min/n) .. floor(max/n) of sum(d(v) * l(v)) / n, ascending.
+    ceil(min/n) .. floor(max/n) of sum(d(v) * l(v)) / n, ascending.  Before
+    the search, graphs whose kernel forces two equal labels are rejected
+    with nodes == 0.
     """
     stats = SearchStats()
     n = g.n
@@ -90,6 +108,12 @@ def find_distance_magic(g: Graph, budget: SearchBudget | None = None) -> SearchO
             return SearchOutcome(EXHAUSTED_NONE, None, None, stats)
         candidates = list(range(k_min, k_max + 1))
 
+    pair = kernel_forced_equal(g)
+    if pair is not None:
+        stats.prune("kernel_forced_equal")
+        stats.forced_equal = pair
+        return SearchOutcome(EXHAUSTED_NONE, None, None, stats)
+
     max_nodes = budget.max_nodes if budget is not None else None
     for k in candidates:
         try:
@@ -99,6 +123,73 @@ def find_distance_magic(g: Graph, budget: SearchBudget | None = None) -> SearchO
         if witness is not None:
             return SearchOutcome(FOUND, witness, k, stats)
     return SearchOutcome(EXHAUSTED_NONE, None, None, stats)
+
+
+def kernel_forced_equal(g: Graph) -> tuple[int, int] | None:
+    """First pair (u, v), u < v, with l(u) = l(v) on the whole null space
+    of [A | -1], v the smallest such vertex; None when there is none.
+
+    Rows are sparse {column: int} dicts, column n standing for k.  Gauss-
+    Jordan elimination runs in column order, pivoting on the first non-pivot
+    row that holds the column, and keeps every row primitive (entries divided
+    by their gcd).  A pivot row d*x_p + sum(c_f * x_f) = 0 over the free
+    columns f then gives x_p the coefficient vector -c / d, stored as the
+    canonical key (d > 0, sorted (f, -c_f) pairs); a free column f has the
+    key (1, ((f, 1),)).  Two coordinates agree on the null space exactly
+    when their keys are equal.
+    """
+    n = g.n
+    rows = []
+    for v in range(n):
+        row = dict.fromkeys(g.neighbors(v), 1)
+        row[n] = -1
+        rows.append(row)
+    is_pivot = [False] * n
+    pivots = []  # (column, row id)
+    for c in range(n + 1):
+        p = next((i for i in range(n) if not is_pivot[i] and c in rows[i]), None)
+        if p is None:
+            continue
+        is_pivot[p] = True
+        pivots.append((c, p))
+        for i in range(n):
+            if i != p and c in rows[i]:
+                _eliminate(rows[i], rows[p], c)
+
+    keys = [(1, ((c, 1),)) for c in range(n)]
+    for c, p in pivots:
+        if c == n:
+            continue
+        row = rows[p]
+        sign = 1 if row[c] > 0 else -1
+        coords = sorted([(f, -sign * x) for f, x in row.items() if f != c])
+        keys[c] = (sign * row[c], tuple(coords))
+    first = {}
+    for v in range(n):
+        u = first.setdefault(keys[v], v)
+        if u != v:
+            return u, v
+    return None
+
+
+def _eliminate(row: dict, piv: dict, c: int):
+    """row := (q*row - a*piv) / gcd, which clears column c of row in place."""
+    a, q = row[c], piv[c]
+    g = gcd(a, q)
+    a, q = a // g, q // g
+    if q != 1:
+        for f in row:
+            row[f] *= q
+    for f, x in piv.items():
+        y = row.get(f, 0) - a * x
+        if y:
+            row[f] = y
+        else:
+            del row[f]
+    g = gcd(*row.values())
+    if g > 1:
+        for f in row:
+            row[f] //= g
 
 
 def _search_k(g: Graph, k: int, stats: SearchStats, max_nodes):

@@ -1,6 +1,7 @@
 """Shared test helpers, kept independent of the code paths they check."""
 
 import itertools
+from fractions import Fraction
 
 from distmagic.graphs import Graph
 
@@ -38,3 +39,41 @@ def enumerate_magic_labelings(g: Graph):
         if len(ws) <= 1:
             out.append((perm, ws.pop() if ws else 0))
     return out
+
+
+def forced_equal_reference(g: Graph):
+    """First pair (u, v), u < v, with l(u) = l(v) on the whole null space of
+    [A | -1], by dense Gauss-Jordan elimination over Fraction.
+
+    The oracle for the search's kernel precheck: each coordinate is written
+    over the free columns, and v is the smallest vertex whose coordinates
+    equal those of an earlier vertex u.
+    """
+    n = g.n
+    m = [
+        [Fraction(int(u in g.neighbor_set(v))) for u in range(n)] + [Fraction(-1)]
+        for v in range(n)
+    ]
+    pivots = []
+    for c in range(n + 1):
+        r = len(pivots)
+        p = next((i for i in range(r, n) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(n):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    free = [c for c in range(n + 1) if c not in pivots]
+    coords = {c: tuple(Fraction(int(c == f)) for f in free) for c in free}
+    for r, c in enumerate(pivots):
+        coords[c] = tuple(-m[r][f] for f in free)
+    first = {}
+    for v in range(n):
+        u = first.setdefault(coords[v], v)
+        if u != v:
+            return u, v
+    return None

@@ -140,11 +140,28 @@ def test_search_found_and_none(capsys):
 
 
 def test_search_budget_flag(tmp_path, capsys):
+    edge_file = tmp_path / "c5c4.edges"
+    run(capsys, "product", "--kind", "direct", "cycle:5", "cycle:4", "--out", str(edge_file))
+    status, out, _ = run(capsys, "search", "--graph", str(edge_file), "--budget", "1000")
+    assert status == 1
+    assert "outcome=budget_exceeded" in out
+    assert "forced_equal=" not in out
+    # direct C3 x C5 is certified by the kernel before the budget matters
     edge_file = tmp_path / "c3c5.edges"
     run(capsys, "product", "--kind", "direct", "cycle:3", "cycle:5", "--out", str(edge_file))
     status, out, _ = run(capsys, "search", "--graph", str(edge_file), "--budget", "1000")
     assert status == 1
-    assert "outcome=budget_exceeded" in out
+    assert "outcome=exhausted_none" in out and "nodes=0" in out
+    assert out.endswith("prunes=kernel_forced_equal:1\nforced_equal=0,1\n")
+
+
+def test_search_reports_forced_pair(capsys):
+    status, out, _ = run(capsys, "search", "--graph", "cycle:6")
+    assert status == 1
+    assert out == (
+        "outcome=exhausted_none\nnodes=0\nsteps=0\n"
+        "prunes=kernel_forced_equal:1\nforced_equal=0,1\n"
+    )
 
 
 def test_classify_exit_codes(capsys):

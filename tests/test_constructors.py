@@ -270,7 +270,6 @@ def test_classify_agrees_with_search(m, n):
     _assert_search_agrees(m, n)
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("m,n", [(3, 5), (5, 3)])
 def test_classify_agrees_with_search_15_vertices(m, n):
     _assert_search_agrees(m, n)

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_distance_magic
+from conftest import brute_force_distance_magic, forced_equal_reference
+from distmagic.constructors import (
+    NOT_DISTANCE_MAGIC,
+    classify_cycle_cartesian,
+    classify_cycle_direct,
+    classify_lex_cycles,
+)
 from distmagic.graphs import (
     Graph,
     complete_bipartite,
@@ -14,7 +20,7 @@ from distmagic.graphs import (
     path,
 )
 from distmagic.magic import verify_distance_magic
-from distmagic.products import CARTESIAN, DIRECT, product
+from distmagic.products import CARTESIAN, DIRECT, LEXICOGRAPHIC, product
 from distmagic.search import (
     BUDGET_EXCEEDED,
     EXHAUSTED_NONE,
@@ -22,6 +28,7 @@ from distmagic.search import (
     SearchBudget,
     check_family,
     find_distance_magic,
+    kernel_forced_equal,
 )
 
 
@@ -59,10 +66,53 @@ def test_odd_regular_fast_path():
     assert outcome.stats.nodes == 0
 
 
+def test_kernel_pair_is_the_first_forced_vertex():
+    # P2: both labels equal k.  P4 (0-1-2-3): the two ends read l(1) and
+    # l(2), so l(1) = l(2) = k.
+    assert kernel_forced_equal(path(2)) == (0, 1)
+    assert kernel_forced_equal(path(4)) == (1, 2)
+    assert kernel_forced_equal(path(3)) is None
+    # edgeless graphs: k = 0 and every label is free
+    assert kernel_forced_equal(empty_graph(3)) is None
+
+
+def test_kernel_keys_keep_their_denominator():
+    # Triangle 0-2-3 plus the edge 1-4: l(1) = l(4) = k while l(0) = l(2) =
+    # l(3) = k/2.  Vertices 0 and 1 share numerators but not denominators.
+    g = Graph.from_edges(5, [(0, 2), (0, 3), (2, 3), (1, 4)])
+    assert kernel_forced_equal(g) == (0, 2)
+
+
+def _product_is_magic(kind, a, b):
+    if kind == DIRECT:
+        return classify_cycle_direct(a, b) != NOT_DISTANCE_MAGIC
+    if kind == CARTESIAN:
+        return classify_cycle_cartesian(a, b)
+    return classify_lex_cycles(a, b)
+
+
+def test_certificates_match_classifiers_on_cycle_products():
+    # With a one-node budget only the certificates can answer exhausted_none.
+    disagree = []
+    for kind, a, b in itertools.product((DIRECT, CARTESIAN, LEXICOGRAPHIC), range(3, 9), range(3, 9)):
+        p = product(kind, cycle(a), cycle(b))
+        outcome = find_distance_magic(p.base, SearchBudget(1))
+        if (outcome.tag == EXHAUSTED_NONE) == _product_is_magic(kind, a, b):
+            disagree.append((kind, a, b, outcome.tag))
+    assert disagree == []
+
+
 def test_check_family_cycles():
-    rows = check_family((f"C{n}", cycle(n)) for n in range(3, 11))
-    assert [name for name, out in rows if out.tag == FOUND] == ["C4"]
-    assert all(out.tag == EXHAUSTED_NONE for name, out in rows if name != "C4")
+    rows = check_family((n, cycle(n)) for n in range(3, 17))
+    assert [n for n, out in rows if out.tag == FOUND] == [4]
+    assert kernel_forced_equal(cycle(4)) is None
+    for n, out in rows:
+        if n != 4:
+            # every cycle but C4 is certified by the kernel, before any node
+            assert out.tag == EXHAUSTED_NONE, n
+            assert out.stats.prunes == {"kernel_forced_equal": 1}, n
+            assert out.stats.nodes == 0, n
+            assert out.stats.forced_equal == ((0, 4) if n % 4 == 0 else (0, 1)), n
 
 
 def test_check_family_order_preserved():
@@ -81,11 +131,13 @@ def test_edgeless_graphs_found_degenerate():
 
 
 def test_budget_exceeded_is_an_outcome():
-    p = product(DIRECT, cycle(3), cycle(5))
+    # the kernel is silent on direct C5 x C4, so only the budget stops it
+    p = product(DIRECT, cycle(5), cycle(4))
     outcome = find_distance_magic(p.base, SearchBudget(max_nodes=2000))
     assert outcome.tag == BUDGET_EXCEEDED
     assert outcome.labeling is None
     assert outcome.stats.nodes >= 2000
+    assert outcome.stats.forced_equal is None
 
 
 def test_budget_must_be_positive():
@@ -127,6 +179,22 @@ def small_graphs(draw, max_n=7):
     possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
     return Graph.from_edges(n, edges)
+
+
+@settings(deadline=None, max_examples=200)
+@given(small_graphs())
+def test_kernel_never_fires_on_a_magic_graph(g):
+    pair = kernel_forced_equal(g)
+    if pair is not None:
+        u, v = pair
+        assert 0 <= u < v < g.n
+        assert not brute_force_distance_magic(g)[0]
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_graphs(max_n=10))
+def test_kernel_matches_fraction_reference(g):
+    assert kernel_forced_equal(g) == forced_equal_reference(g)
 
 
 @settings(deadline=None, max_examples=30)
