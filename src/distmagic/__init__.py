@@ -5,13 +5,11 @@ rearrangement, and exhaustive search."""
 from .errors import InputError
 from .graphs import (
     Graph,
-    GraphKind,
     complete_bipartite,
     complete_minus_matching,
     cycle,
     empty_graph,
     format_edge_list,
-    generate,
     is_bipartite,
     is_connected,
     parse_edge_list,
@@ -43,7 +41,6 @@ __all__ = [
     "CARTESIAN",
     "DIRECT",
     "Graph",
-    "GraphKind",
     "InputError",
     "LEXICOGRAPHIC",
     "Labeling",
@@ -55,7 +52,6 @@ __all__ = [
     "eit_schedule",
     "empty_graph",
     "format_edge_list",
-    "generate",
     "is_bipartite",
     "is_connected",
     "layer",

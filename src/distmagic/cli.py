@@ -6,7 +6,10 @@ byte-deterministic for fixed inputs and flags; the only randomness is the
 scramble seed, always passed explicitly.
 
 Graph arguments accept either a generator spec or a path to an edge-list
-file.  Specs: cycle:N  path:N  empty:N  kbip:A,B  kminusm:ORDER.
+file.  Specs: cycle:N  path:N  empty:N  kbip:A,B  kminusm:ORDER.  They are
+defined in one place, the GRAPH_SPECS table below, which also gives the
+built-in balanced labeling that `construct` and `couple` use for --h when no
+--h-labeling is passed.
 """
 
 from __future__ import annotations
@@ -29,49 +32,53 @@ from .graphs import (
 from .products import CARTESIAN, DIRECT, LEXICOGRAPHIC, product
 
 
-def parse_graph_spec(spec: str) -> Graph:
-    if ":" in spec:
-        name, _, raw = spec.partition(":")
-        if name in ("cycle", "path", "empty", "kbip", "kminusm"):
-            try:
-                params = [int(x) for x in raw.split(",")] if raw else []
-            except ValueError:
-                raise InputError(f"graph spec {spec!r}: parameters must be integers")
-            if name == "cycle" and len(params) == 1:
-                return cycle(params[0])
-            if name == "path" and len(params) == 1:
-                return path(params[0])
-            if name == "empty" and len(params) == 1:
-                return empty_graph(params[0])
-            if name == "kbip" and len(params) == 2:
-                return complete_bipartite(params[0], params[1])
-            if name == "kminusm" and len(params) == 1:
-                return complete_minus_matching(params[0])
-            raise InputError(f"graph spec {spec!r}: wrong number of parameters")
-    try:
-        with open(spec, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read graph {spec!r}: {exc}")
-    return parse_edge_list(text)
+# The one place graph specs are defined: spec name -> (generator, parameter
+# count, balanced labeling of the generated graph from the same parsed
+# parameters, or None when there is no built-in one).
+GRAPH_SPECS = {
+    "cycle": (cycle, 1, lambda n: constructors.label_c4() if n == 4 else None),
+    "path": (path, 1, lambda n: None),
+    "empty": (
+        empty_graph,
+        1,
+        lambda n: magic.Labeling(tuple(range(1, n + 1))) if n > 0 and n % 2 == 0 else None,
+    ),
+    "kbip": (
+        complete_bipartite,
+        2,
+        lambda a, b: None if a != b or a % 2 else constructors.label_complete_bipartite(a // 2),
+    ),
+    "kminusm": (
+        complete_minus_matching,
+        1,
+        lambda n: constructors.label_complete_minus_matching(n // 2),
+    ),
+}
 
 
-def _auto_balanced_labeling(spec: str, g: Graph) -> magic.Labeling | None:
-    """Built-in balanced labeling for specs the constructors cover."""
-    if ":" not in spec:
-        return None
+def _spec_params(spec: str) -> tuple[str, list[int]] | None:
+    """(name, parameters) of a generator spec; None for a file path."""
     name, _, raw = spec.partition(":")
-    if name == "cycle" and raw == "4":
-        return constructors.label_c4()
-    if name == "empty" and g.n % 2 == 0 and g.n > 0:
-        return magic.Labeling(tuple(range(1, g.n + 1)))
-    if name == "kbip":
-        parts = raw.split(",")
-        if len(parts) == 2 and parts[0] == parts[1] and g.n % 4 == 0:
-            return constructors.label_complete_bipartite(g.n // 4)
-    if name == "kminusm":
-        return constructors.label_complete_minus_matching(g.n // 2)
-    return None
+    if name == spec or name not in GRAPH_SPECS:
+        return None
+    try:
+        params = [int(x) for x in raw.split(",")] if raw else []
+    except ValueError:
+        raise InputError(f"graph spec {spec!r}: parameters must be integers")
+    if len(params) != GRAPH_SPECS[name][1]:
+        raise InputError(f"graph spec {spec!r}: wrong number of parameters")
+    return name, params
+
+
+def parse_graph_spec(spec: str) -> Graph:
+    parsed = _spec_params(spec)
+    if parsed is None:
+        return parse_edge_list(_read(spec))
+    name, params = parsed
+    try:
+        return GRAPH_SPECS[name][0](*params)
+    except InputError as exc:
+        raise InputError(f"graph spec {spec!r}: {exc}")
 
 
 def _read(path_arg: str) -> str:
@@ -90,17 +97,15 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
-def _labeling_for(args, g: Graph, spec_attr: str, file_attr: str) -> magic.Labeling:
-    file_arg = getattr(args, file_attr)
-    if file_arg is not None:
-        return magic.parse_labeling(_read(file_arg), g.n)
-    auto = _auto_balanced_labeling(getattr(args, spec_attr), g)
-    if auto is None:
-        raise InputError(
-            f"no built-in balanced labeling for {getattr(args, spec_attr)!r}; "
-            f"pass --{file_attr.replace('_', '-')}"
-        )
-    return auto
+def _labeling_for(args, h: Graph) -> magic.Labeling:
+    """Balanced labeling of the second factor: --h-labeling, else built-in."""
+    if args.h_labeling is not None:
+        return magic.parse_labeling(_read(args.h_labeling), h.n)
+    parsed = _spec_params(args.h)
+    labeling = GRAPH_SPECS[parsed[0]][2](*parsed[1]) if parsed else None
+    if labeling is None:
+        raise InputError(f"no built-in balanced labeling for {args.h!r}; pass --h-labeling")
+    return labeling
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +141,7 @@ def cmd_construct(args) -> int:
             raise InputError(f"{kind} needs --g and --h")
         g = parse_graph_spec(args.g)
         h = parse_graph_spec(args.h)
-        h_labeling = _labeling_for(args, h, "h", "h_labeling")
-        build = constructors.label_lexicographic if kind == "lexicographic" else constructors.label_direct
-        labeling = build(g, h, h_labeling)
+        labeling = constructors.label_direct(g, h, _labeling_for(args, h))
     else:
         raise InputError(f"unknown construct kind {kind!r}")
     _emit(magic.format_labeling(labeling), args.out)
@@ -196,13 +199,7 @@ def cmd_couple(args) -> int:
     if args.labeling is not None:
         labeling = magic.parse_labeling(_read(args.labeling), p.base.n)
     else:
-        h_labeling = _labeling_for(args, h, "h", "h_labeling")
-        build = (
-            constructors.label_lexicographic
-            if args.kind == LEXICOGRAPHIC
-            else constructors.label_direct
-        )
-        labeling = build(g, h, h_labeling)
+        labeling = constructors.label_direct(g, h, _labeling_for(args, h))
     bl = rearrange.make_balanced(p, labeling)
     if args.seed is not None:
         bl = rearrange.scramble_balanced(bl, args.seed)

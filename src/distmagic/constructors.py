@@ -73,13 +73,14 @@ def _balanced_input(h: Graph, h_labeling: Labeling):
         raise InputError("the second factor's labeling must be balanced distance magic")
 
 
-def label_lexicographic(g: Graph, h: Graph, h_labeling: Labeling) -> Labeling:
-    """Balanced labeling of the lexicographic product of g (regular) with a
-    balanced (h, h_labeling).
+def label_direct(g: Graph, h: Graph, h_labeling: Labeling) -> Labeling:
+    """Balanced labeling of the direct and of the lexicographic product of g
+    (regular) with a balanced (h, h_labeling); one labeling serves both.
 
     With p = |V(g)|, t = |V(h)|, the pair whose h-vertex carries label j gets
     (j-1)p + i for j <= t/2 and jp - i + 1 for j > t/2 (i is the 1-based
-    g-vertex).  The product's magic constant is (t*r_g + r_h)(tp + 1) / 2.
+    g-vertex).  The magic constant is (r_g * r_h / 2)(pt + 1) in the direct
+    product and (t*r_g + r_h)(pt + 1) / 2 in the lexicographic product.
     """
     if regularity(g) is None:
         raise InputError("the first factor must be regular")
@@ -95,26 +96,7 @@ def label_lexicographic(g: Graph, h: Graph, h_labeling: Labeling) -> Labeling:
     return Labeling(tuple(values))
 
 
-def label_direct(g: Graph, h: Graph, h_labeling: Labeling) -> Labeling:
-    """Balanced labeling of the direct product of g (regular) with a balanced
-    (h, h_labeling).
-
-    With t = |V(g)|, p = |V(h)|, the pair whose h-vertex carries label j gets
-    (j-1)t + i for j <= p/2 and jt - i + 1 for j > p/2.  The product's magic
-    constant is (r_g * r_h / 2)(pt + 1).
-    """
-    if regularity(g) is None:
-        raise InputError("the first factor must be regular")
-    _balanced_input(h, h_labeling)
-    t, p = g.n, h.n
-    values = [0] * (p * t)
-    for hv in range(p):
-        j = h_labeling.values[hv]
-        for gv in range(t):
-            i = gv + 1
-            lab = (j - 1) * t + i if j <= p // 2 else j * t - i + 1
-            values[gv * p + hv] = lab
-    return Labeling(tuple(values))
+label_lexicographic = label_direct
 
 
 # ---------------------------------------------------------------------------

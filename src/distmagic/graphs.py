@@ -88,23 +88,6 @@ class Graph:
 # Named generators
 # ---------------------------------------------------------------------------
 
-CYCLE = "cycle"
-PATH = "path"
-EMPTY = "empty"
-COMPLETE_BIPARTITE = "complete_bipartite"
-COMPLETE_MINUS_MATCHING = "complete_minus_perfect_matching"
-
-KIND_TAGS = (CYCLE, PATH, EMPTY, COMPLETE_BIPARTITE, COMPLETE_MINUS_MATCHING)
-
-
-@dataclass(frozen=True)
-class GraphKind:
-    """A named generator request: a tag plus its integer parameters."""
-
-    tag: str
-    params: tuple[int, ...]
-
-
 def cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices, consecutive ids adjacent, edge (0, n-1) closing it."""
     if n < 3:
@@ -146,32 +129,6 @@ def complete_minus_matching(order: int) -> Graph:
         if (u, v) not in removed
     ]
     return Graph.from_edges(order, edges)
-
-
-def generate(kind: GraphKind) -> Graph:
-    """Dispatch a GraphKind to its generator, validating parameter counts."""
-    tag, params = kind.tag, kind.params
-    if tag == CYCLE:
-        _arity(tag, params, 1)
-        return cycle(params[0])
-    if tag == PATH:
-        _arity(tag, params, 1)
-        return path(params[0])
-    if tag == EMPTY:
-        _arity(tag, params, 1)
-        return empty_graph(params[0])
-    if tag == COMPLETE_BIPARTITE:
-        _arity(tag, params, 2)
-        return complete_bipartite(params[0], params[1])
-    if tag == COMPLETE_MINUS_MATCHING:
-        _arity(tag, params, 1)
-        return complete_minus_matching(params[0])
-    raise InputError(f"unknown graph kind tag {tag!r}")
-
-
-def _arity(tag, params, want):
-    if len(params) != want:
-        raise InputError(f"graph kind {tag!r} takes {want} parameter(s), got {len(params)}")
 
 
 # ---------------------------------------------------------------------------

@@ -91,14 +91,6 @@ class Diagnostic:
 
 
 @dataclass(frozen=True)
-class TwinPairCheck:
-    u: int
-    v: int
-    non_adjacent: bool
-    equal_neighborhoods: bool
-
-
-@dataclass(frozen=True)
 class VerifyReport:
     weights: tuple[int, ...]
     magic_constant: int | None
@@ -106,7 +98,6 @@ class VerifyReport:
     is_balanced: bool
     degenerate: bool
     twin_map: tuple[int, ...] | None
-    twin_pairs: tuple[TwinPairCheck, ...]
     failures: tuple[Diagnostic, ...]
     failure_count: int
 
@@ -125,7 +116,6 @@ def verify_distance_magic(g: Graph, labeling: Labeling) -> VerifyReport:
         is_balanced=False,
         degenerate=uniform and not g.edges,
         twin_map=None,
-        twin_pairs=(),
         failures=failures,
         failure_count=count,
     )
@@ -136,8 +126,7 @@ def verify_balanced(g: Graph, labeling: Labeling) -> VerifyReport:
 
     Balanced requires: even order, uniform weights, and for every vertex w and
     every u in N(w), the vertex labeled n+1-l(u) also in N(w).  When balanced,
-    twin_map pairs the vertex labeled i with the vertex labeled n+1-i, and each
-    pair is recorded with its non-adjacency / equal-neighborhood facts.
+    twin_map pairs the vertex labeled i with the vertex labeled n+1-i.
     """
     base = verify_distance_magic(g, labeling)
     n = g.n
@@ -163,23 +152,10 @@ def verify_balanced(g: Graph, labeling: Labeling) -> VerifyReport:
 
     balanced = pairing_ok and n % 2 == 0 and base.is_distance_magic
     twin_map = None
-    twin_pairs = ()
     if balanced:
         vals = labeling.values
         pos = label_positions(labeling)
         twin_map = tuple(pos[n - vals[v]] for v in range(n))
-        checks = []
-        for i in range(1, n // 2 + 1):
-            u, v = pos[i - 1], pos[n - i]
-            checks.append(
-                TwinPairCheck(
-                    u=u,
-                    v=v,
-                    non_adjacent=not g.has_edge(u, v),
-                    equal_neighborhoods=g.neighbor_set(u) == g.neighbor_set(v),
-                )
-            )
-        twin_pairs = tuple(checks)
 
     return VerifyReport(
         weights=base.weights,
@@ -188,7 +164,6 @@ def verify_balanced(g: Graph, labeling: Labeling) -> VerifyReport:
         is_balanced=balanced,
         degenerate=base.degenerate,
         twin_map=twin_map,
-        twin_pairs=twin_pairs,
         failures=tuple(failures),
         failure_count=count,
     )

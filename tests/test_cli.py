@@ -109,6 +109,15 @@ def test_construct_requires_h_labeling_for_unknown_h(capsys):
     assert "no built-in balanced labeling" in err
 
 
+@pytest.mark.parametrize("command", ["construct", "couple"])
+@pytest.mark.parametrize("h,padded", [("cycle:4", "cycle:04"), ("kbip:4,4", "kbip:4,04")])
+def test_builtin_h_labeling_reads_parsed_parameters(capsys, command, h, padded):
+    argv = [command, "--kind", "direct", "--g", "cycle:3", "--h"]
+    status, expected, _ = run(capsys, *argv, h)
+    assert status == 0
+    assert run(capsys, *argv, padded) == (0, expected, "")
+
+
 def test_couple_with_kbip_h_factor(capsys):
     status, out, _ = run(
         capsys, "couple", "--kind", "direct", "--g", "cycle:3", "--h", "kbip:4,4", "--seed", "3"
@@ -228,6 +237,12 @@ def test_couple_with_labeling_file(tmp_path, capsys):
     assert status == 0 and "closed_g=0" in out
 
 
+# bad parameters, an unknown name and a wrong parameter count
+BAD_SPECS = [
+    "cycle:2", "path:0", "empty:-1", "kbip:0,3", "kminusm:5", "kminusm:0", "nonesuch:3", "cycle:3,4",
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -240,10 +255,15 @@ def test_couple_with_labeling_file(tmp_path, capsys):
         ["eit", "--graph", "cycle:4", "--labeling", "/nonexistent/file"],
         ["product", "--kind", "strong", "cycle:3", "cycle:3"],
         ["nonesuch"],
-    ],
+    ]
+    + [["search", "--graph", spec] for spec in BAD_SPECS],
 )
 def test_input_errors_exit_2(capsys, argv):
-    assert main(argv) == 2
+    status, _, err = run(capsys, *argv)
+    assert status == 2
+    if argv[-1] in BAD_SPECS:
+        # the message names the spec it rejects
+        assert repr(argv[-1]) in err
 
 
 def test_spec_parsing_kinds(capsys):

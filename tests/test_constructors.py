@@ -118,7 +118,13 @@ def test_label_direct_examples():
     assert verify_balanced(p.base, lab).is_balanced
 
 
-@pytest.mark.parametrize("build,kind", [(label_lexicographic, LEXICOGRAPHIC), (label_direct, DIRECT)])
+# label_lexicographic is label_direct, so default ids would name both cases
+# after label_direct; these tell them apart by product
+@pytest.mark.parametrize(
+    "build,kind",
+    [(label_lexicographic, LEXICOGRAPHIC), (label_direct, DIRECT)],
+    ids=["label_lexicographic-lexicographic", "label_direct-direct"],
+)
 def test_label_sum_identity(build, kind):
     # the twin pair (g_i, h_j), (g_i, h_partner) always sums to |V| + 1
     g, h = cycle(5), cycle(4)

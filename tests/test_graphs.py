@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 from distmagic.errors import InputError
 from distmagic.graphs import (
     Graph,
-    GraphKind,
     complete_bipartite,
     complete_minus_matching,
     cycle,
     empty_graph,
     format_edge_list,
-    generate,
     is_bipartite,
     is_connected,
     parse_edge_list,
@@ -78,32 +76,6 @@ def test_balanced_bipartite_invariants(a):
     g = complete_bipartite(a, a)
     assert regularity(g) == a
     assert len(g.edges) == a * a
-
-
-def test_generate_dispatch():
-    assert generate(GraphKind("cycle", (4,))) == cycle(4)
-    assert generate(GraphKind("path", (5,))) == path(5)
-    assert generate(GraphKind("empty", (0,))) == empty_graph(0)
-    assert generate(GraphKind("complete_bipartite", (2, 3))) == complete_bipartite(2, 3)
-    assert generate(GraphKind("complete_minus_perfect_matching", (8,))) == complete_minus_matching(8)
-
-
-@pytest.mark.parametrize(
-    "kind",
-    [
-        GraphKind("cycle", (2,)),
-        GraphKind("path", (0,)),
-        GraphKind("empty", (-1,)),
-        GraphKind("complete_bipartite", (0, 3)),
-        GraphKind("complete_minus_perfect_matching", (5,)),
-        GraphKind("complete_minus_perfect_matching", (0,)),
-        GraphKind("nonesuch", (3,)),
-        GraphKind("cycle", (3, 4)),
-    ],
-)
-def test_generate_rejects_bad_parameters(kind):
-    with pytest.raises(InputError):
-        generate(kind)
 
 
 def test_from_edges_rejects_loop_and_range():
