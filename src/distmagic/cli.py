@@ -15,6 +15,7 @@ built-in balanced labeling that `construct` and `couple` use for --h when no
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import constructors, magic, rearrange, search
@@ -73,6 +74,10 @@ def _spec_params(spec: str) -> tuple[str, list[int]] | None:
 def parse_graph_spec(spec: str) -> Graph:
     parsed = _spec_params(spec)
     if parsed is None:
+        name, sep, _ = spec.partition(":")
+        if sep and name.isidentifier() and not os.path.exists(spec):
+            known = ", ".join(GRAPH_SPECS)
+            raise InputError(f"graph spec {spec!r}: unknown name {name!r}, known: {known}")
         return parse_edge_list(_read(spec))
     name, params = parsed
     try:

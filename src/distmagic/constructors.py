@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import Graph, regularity
+from .graphs import Graph, check_size, regularity
 from .magic import Labeling, verify_balanced
 
 # classifier verdicts for products of cycles
@@ -41,6 +41,7 @@ def label_complete_bipartite(n: int) -> Labeling:
     if n < 1:
         raise InputError(f"complete bipartite construction needs n >= 1, got n={n}")
     size = 4 * n
+    check_size(size)
     values = [0] * size
     a_next, b_next = 0, 2 * n
     for i in range(1, size + 1):
@@ -60,6 +61,7 @@ def label_complete_minus_matching(n: int) -> Labeling:
     """
     if n < 1:
         raise InputError(f"matching construction needs n >= 1, got n={n}")
+    check_size(2 * n)
     values = [0] * (2 * n)
     for i in range(n):
         values[2 * i] = i + 1
@@ -86,6 +88,7 @@ def label_direct(g: Graph, h: Graph, h_labeling: Labeling) -> Labeling:
         raise InputError("the first factor must be regular")
     _balanced_input(h, h_labeling)
     p, t = g.n, h.n
+    check_size(p * t)
     values = [0] * (p * t)
     for hv in range(t):
         j = h_labeling.values[hv]
@@ -151,6 +154,7 @@ def label_cycle_product(m: int, n: int) -> GridLabeling:
             "construction with a balanced C4 instead"
         )
     total = m * n
+    check_size(total)
     half = total // 2
     grid = [[0] * n for _ in range(m)]
 

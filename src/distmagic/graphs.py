@@ -1,14 +1,21 @@
 """Simple finite undirected graphs: representation, named generators,
 structural predicates, and the edge-list text format.
 
-Vertices are contiguous 0-based integers.  Edges are stored canonically as
-(min, max) pairs and iterated in lexicographic order, which keeps every
-algorithm built on top of this module deterministic.  Graph values are
-immutable; anything that looks like mutation builds a new value.
+Vertices are contiguous 0-based integers.  A graph stores only its sorted
+adjacency: row v is the strictly ascending tuple of v's neighbors, so
+iterating rows in vertex order visits the edges in lexicographic order, which
+keeps every algorithm built on top of this module deterministic.  Graph
+values are immutable; anything that looks like mutation builds a new value.
+
+Sizes are capped at MAX_VERTICES vertices and MAX_EDGES edges.  Every
+generator, parser and product checks its counts against the caps before it
+allocates anything, so an oversized request is rejected input, not an
+exhausted memory.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,68 +23,89 @@ from typing import Iterable
 
 from .errors import InputError
 
+MAX_VERTICES = 1 << 20
+MAX_EDGES = 1 << 21
+
+
+def check_size(vertices: int, edges: int = 0):
+    """Reject a graph (or a labeling) above MAX_VERTICES or MAX_EDGES."""
+    if vertices > MAX_VERTICES:
+        raise InputError(f"{vertices} vertices exceed the limit of {MAX_VERTICES}")
+    if edges > MAX_EDGES:
+        raise InputError(f"{edges} edges exceed the limit of {MAX_EDGES}")
+
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on vertices 0..n-1 (no loops, no multi-edges)."""
+    """Undirected simple graph on vertices 0..n-1 (no loops, no multi-edges).
+
+    adjacency[v] is the strictly ascending tuple of v's neighbors; u is in
+    row v exactly when v is in row u.
+    """
 
     n: int
-    edges: frozenset
+    adjacency: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {self.n}")
-        for e in self.edges:
-            u, v = e
-            if not (0 <= u < v < self.n):
-                raise InputError(
-                    f"edge {e} is not a canonical (min,max) pair inside [0,{self.n})"
-                )
+        n, adj = self.n, self.adjacency
+        if n < 0:
+            raise InputError(f"vertex count must be nonnegative, got {n}")
+        if type(adj) is not tuple or len(adj) != n:
+            raise InputError(f"adjacency must be a tuple of {n} rows, got {len(adj)}")
+        for v, row in enumerate(adj):
+            if type(row) is not tuple:
+                raise InputError(f"row {v} must be a tuple")
+            prev = -1
+            for u in row:
+                if not (prev < u < n):
+                    raise InputError(f"row {v} is not strictly ascending inside [0,{n})")
+                if u == v:
+                    raise InputError(f"self-loop at vertex {v}")
+                back = adj[u]
+                i = bisect_left(back, v)
+                if i == len(back) or back[i] != v:
+                    raise InputError(f"vertex {u} is in row {v}, but {v} is not in row {u}")
+                prev = u
 
     @staticmethod
     def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from arbitrary (u, v) pairs, canonicalizing endpoint order."""
-        canon = set()
+        """Build a graph from arbitrary (u, v) pairs in either endpoint order;
+        repeated pairs count once."""
+        check_size(n)
+        rows = [[] for _ in range(n)]
         for u, v in pairs:
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) has an endpoint outside [0,{n})")
-            canon.add((u, v) if u < v else (v, u))
-        return Graph(n, frozenset(canon))
+            rows[u].append(v)
+            rows[v].append(u)
+        return Graph(n, tuple([tuple(sorted(set(row))) for row in rows]))
 
     @cached_property
-    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
+    def edges(self) -> frozenset:
+        """Edges as canonical (min, max) pairs, derived from the rows."""
+        return frozenset((u, v) for u, row in enumerate(self.adjacency) for v in row if u < v)
 
-    @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs = [[] for _ in range(self.n)]
-        for u, v in self.sorted_edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple([tuple(sorted(a)) for a in nbrs])
-
-    @cached_property
-    def _adjacency_sets(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(a) for a in self._adjacency)
+    @property
+    def edge_count(self) -> int:
+        return sum(map(len, self.adjacency)) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order."""
         self._check_vertex(v)
-        return self._adjacency[v]
+        return self.adjacency[v]
 
     def neighbor_set(self, v: int) -> frozenset:
         self._check_vertex(v)
-        return self._adjacency_sets[v]
+        return frozenset(self.adjacency[v])
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._adjacency[v])
+        return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        a, b = (u, v) if u < v else (v, u)
-        return (a, b) in self.edges
+        return 0 <= u < self.n and v in self.adjacency[u]
 
     def _check_vertex(self, v: int):
         if not (0 <= v < self.n):
@@ -92,19 +120,22 @@ def cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices, consecutive ids adjacent, edge (0, n-1) closing it."""
     if n < 3:
         raise InputError(f"cycle length must be >= 3, got n={n}")
+    check_size(n, n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise InputError(f"path order must be >= 1, got n={n}")
+    check_size(n, n - 1)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def empty_graph(n: int) -> Graph:
     if n < 0:
         raise InputError(f"empty graph order must be >= 0, got n={n}")
-    return Graph(n, frozenset())
+    check_size(n)
+    return Graph(n, ((),) * n)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -113,7 +144,8 @@ def complete_bipartite(a: int, b: int) -> Graph:
         raise InputError(f"complete bipartite part size a must be >= 1, got a={a}")
     if b < 1:
         raise InputError(f"complete bipartite part size b must be >= 1, got b={b}")
-    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    check_size(a + b, a * b)
+    return Graph(a + b, (tuple(range(a, a + b)),) * a + (tuple(range(a)),) * b)
 
 
 def complete_minus_matching(order: int) -> Graph:
@@ -121,14 +153,11 @@ def complete_minus_matching(order: int) -> Graph:
     {(2i, 2i+1) : 0 <= i < order/2}."""
     if order < 2 or order % 2:
         raise InputError(f"order must be even and >= 2, got order={order}")
-    removed = {(2 * i, 2 * i + 1) for i in range(order // 2)}
-    edges = [
-        (u, v)
-        for u in range(order)
-        for v in range(u + 1, order)
-        if (u, v) not in removed
-    ]
-    return Graph.from_edges(order, edges)
+    check_size(order, order * (order - 2) // 2)
+    return Graph(
+        order,
+        tuple([tuple([u for u in range(order) if u // 2 != v // 2]) for v in range(order)]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +169,7 @@ def regularity(g: Graph) -> int | None:
     0-regular by convention."""
     if g.n == 0:
         return 0
-    degrees = {g.degree(v) for v in range(g.n)}
+    degrees = set(map(len, g.adjacency))
     if len(degrees) == 1:
         return degrees.pop()
     return None
@@ -204,11 +233,12 @@ def parse_edge_list(text: str) -> Graph:
         raise InputError(f"line 1: header must be two integers, got {lines[0]!r}")
     if n < 0 or m < 0:
         raise InputError(f"line 1: n and m must be nonnegative, got n={n} m={m}")
+    check_size(n, m)
     body = lines[1:]
     if len(body) != m:
         raise InputError(f"expected {m} edge lines after the header, got {len(body)}")
     seen = set()
-    edges = []
+    rows = [[] for _ in range(n)]
     for i, line in enumerate(body, start=2):
         parts = line.split()
         if len(parts) != 2:
@@ -226,12 +256,13 @@ def parse_edge_list(text: str) -> Graph:
         if (u, v) in seen:
             raise InputError(f"line {i}: duplicate edge ({u},{v})")
         seen.add((u, v))
-        edges.append((u, v))
-    return Graph(n, frozenset(edges))
+        rows[u].append(v)
+        rows[v].append(u)
+    return Graph(n, tuple([tuple(sorted(row)) for row in rows]))
 
 
 def format_edge_list(g: Graph) -> str:
     """Serialize in the same format, edges sorted lexicographically."""
-    out = [f"{g.n} {len(g.edges)}"]
-    out.extend(f"{u} {v}" for u, v in g.sorted_edges)
+    out = [f"{g.n} {g.edge_count}"]
+    out.extend(f"{u} {v}" for u, row in enumerate(g.adjacency) for v in row if u < v)
     return "\n".join(out) + "\n"

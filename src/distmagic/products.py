@@ -1,9 +1,12 @@
 """Cartesian, lexicographic, and direct products of two graphs.
 
 Vertex pairs (g, h) are encoded row-major as g * |V(H)| + h, so each H-layer
-(fix g, vary h) is a contiguous block of ids.  Products materialize their full
-edge set; at the sizes this library targets that is cheap and keeps every
-verifier a plain loop over edges.
+(fix g, vary h) is a contiguous block of ids.  A product's adjacency row is
+written straight from its factors' rows by the product's neighborhood rule:
+
+    direct          N(a,b) = N(a) x N(b)
+    Cartesian       N(a,b) = N(a) x {b}  u  {a} x N(b)
+    lexicographic   N(a,b) = N(a) x V(H)  u  {a} x N(b)
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Graph, check_size
 
 CARTESIAN = "cartesian"
 LEXICOGRAPHIC = "lexicographic"
@@ -51,34 +54,23 @@ def product(kind: str, g: Graph, h: Graph) -> ProductGraph:
     """Construct the product of the given kind.  Empty factors give empty products."""
     if kind not in PRODUCT_KINDS:
         raise InputError(f"unknown product kind {kind!r}, expected one of {PRODUCT_KINDS}")
-    hn = h.n
-    edges = set()
-    if kind == CARTESIAN:
-        for u, v in g.sorted_edges:
-            for hi in range(hn):
-                edges.add((u * hn + hi, v * hn + hi))
-        for gi in range(g.n):
-            for a, b in h.sorted_edges:
-                edges.add((gi * hn + a, gi * hn + b))
-    elif kind == LEXICOGRAPHIC:
-        for u, v in g.sorted_edges:
-            for hi in range(hn):
-                for hj in range(hn):
-                    edges.add(_canon(u * hn + hi, v * hn + hj))
-        for gi in range(g.n):
-            for a, b in h.sorted_edges:
-                edges.add((gi * hn + a, gi * hn + b))
-    else:
-        for u, v in g.sorted_edges:
-            for a, b in h.sorted_edges:
-                edges.add(_canon(u * hn + a, v * hn + b))
-                edges.add(_canon(u * hn + b, v * hn + a))
-    base = Graph(g.n * hn, frozenset(edges))
+    gn, hn = g.n, h.n
+    ga, ha = g.adjacency, h.adjacency
+    mg, mh = g.edge_count, h.edge_count
+    edges = {DIRECT: 2 * mg * mh, CARTESIAN: gn * mh + mg * hn,
+             LEXICOGRAPHIC: mg * hn * hn + gn * mh}[kind]
+    check_size(gn * hn, edges)
+
+    def row(a, b):
+        if kind == DIRECT:
+            return [x * hn + y for x in ga[a] for y in ha[b]]
+        own = [a * hn + y for y in ha[b]]
+        if kind == CARTESIAN:
+            return sorted([x * hn + b for x in ga[a]] + own)
+        return sorted([x * hn + y for x in ga[a] for y in range(hn)] + own)
+
+    base = Graph(gn * hn, tuple([tuple(row(a, b)) for a in range(gn) for b in range(hn)]))
     return ProductGraph(base, g, h, kind)
-
-
-def _canon(a, b):
-    return (a, b) if a < b else (b, a)
 
 
 def layer(p: ProductGraph, axis: str, fixed: int) -> list[int]:

@@ -14,12 +14,12 @@ neighborhoods, driven by a fixed linear congruential generator
 scrambles are reproducible from the seed alone.
 
 Verification contract: make_balanced is the only full check (all weights and
-every edge's twin pairing, O(|E|)).  Steps proven to preserve balance -- the
-lemma swaps and the scramble -- move labels only between vertices with one
-shared neighborhood, so every neighborhood keeps its set of labels.  They
-check that premise locally (O(degree) per swap) and carry the twin map
-forward instead of recomputing it.  couple_layers verifies its result once,
-on exit, so what it returns is checked end to end.
+every vertex's neighborhood against its twin's, O(|E|)).  Steps proven to
+preserve balance -- the lemma swaps and the scramble -- move labels only
+between vertices with one shared neighborhood, so every neighborhood keeps
+its set of labels.  They check that premise locally (O(degree) per swap)
+and carry the twin map forward instead of recomputing it.  couple_layers
+verifies its result once, on exit, so what it returns is checked end to end.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _exchange(bl: BalancedProductLabeling, a: int, b: int) -> BalancedProductLab
     images of their old twins can change.
     """
     base = bl.product.base
-    if base.neighbor_set(a) != base.neighbor_set(b):
+    if base.neighbors(a) != base.neighbors(b):
         raise AssertionError(f"exchange premise fails: N({a}) != N({b})")
     vals = list(bl.labeling.values)
     vals[a], vals[b] = vals[b], vals[a]
@@ -189,7 +189,7 @@ def couple_layers(bl: BalancedProductLabeling, on_swap=None):
     prod = bl.product
     if prod.kind != DIRECT:
         raise InputError("coupling applies to direct products only")
-    if not prod.base.edges:
+    if prod.base.edge_count == 0:
         raise InputError("product has no edges; twin structure is undefined")
 
     hsize = prod.hsize

@@ -242,6 +242,16 @@ BAD_SPECS = [
     "cycle:2", "path:0", "empty:-1", "kbip:0,3", "kminusm:5", "kminusm:0", "nonesuch:3", "cycle:3,4",
 ]
 
+# inputs above the size limits, rejected before anything is allocated; the
+# test writes huge.edges, whose header is "1000000000 0"
+TOO_LARGE = [
+    ["search", "--graph", "empty:1000000000"],
+    ["search", "--graph", "kbip:100000,100000"],
+    ["product", "--kind", "direct", "cycle:2000", "cycle:2000"],
+    ["search", "--graph", "huge.edges"],
+    ["construct", "--kind", "cycle-product", "--m", "100000", "--n", "100000"],
+]
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -256,14 +266,21 @@ BAD_SPECS = [
         ["product", "--kind", "strong", "cycle:3", "cycle:3"],
         ["nonesuch"],
     ]
-    + [["search", "--graph", spec] for spec in BAD_SPECS],
+    + [["search", "--graph", spec] for spec in BAD_SPECS]
+    + TOO_LARGE,
 )
-def test_input_errors_exit_2(capsys, argv):
+def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.edges").write_text("1000000000 0\n")
     status, _, err = run(capsys, *argv)
     assert status == 2
     if argv[-1] in BAD_SPECS:
         # the message names the spec it rejects
         assert repr(argv[-1]) in err
+    if argv[-1] == "nonesuch:3":
+        assert "cycle, path, empty, kbip, kminusm" in err
+    if argv in TOO_LARGE:
+        assert "exceed the limit of" in err
 
 
 def test_spec_parsing_kinds(capsys):

@@ -1,4 +1,4 @@
-"""Golden outputs of `construct` and `product`.
+"""Golden outputs of `construct`, `product` and `verify`.
 
 Each case pins a sha256 digest (first 16 hex digits) of the command's whole
 stdout, so any change to a product labeling or to an edge list shows here.
@@ -11,6 +11,13 @@ import hashlib
 import pytest
 
 from distmagic.cli import main
+from distmagic.constructors import (
+    label_c4,
+    label_complete_minus_matching,
+    label_cycle_product,
+    label_direct,
+)
+from distmagic.graphs import cycle
 
 CONSTRUCT_GOLDEN = [
     ("direct", "cycle:3", "cycle:4", "99513df1e5f356f1"),
@@ -61,3 +68,60 @@ def test_construct_stdout_golden(capsys, kind, g, h, digest):
 @pytest.mark.parametrize("kind,h,digest", PRODUCT_GOLDEN)
 def test_product_stdout_golden(capsys, kind, h, digest):
     assert stdout_digest(capsys, ["product", "--kind", kind, "cycle:3", h]) == digest
+
+
+def _swapped(values, a, b):
+    values = list(values)
+    values[a], values[b] = values[b], values[a]
+    return tuple(values)
+
+
+_C3XC4 = label_direct(cycle(3), cycle(4), label_c4()).values
+
+# verify --format kv|text: (id, graph spec or product (kind, g, h),
+# labeling, exit status, kv digest, text digest).  The labelings cover weight
+# failures only, twin failures only, both, more than MAX_DIAGNOSTICS (32)
+# failures (both twin-only cases have more, as do the "capped" ones), odd
+# orders, and balanced and degenerate reports.
+VERIFY_GOLDEN = [
+    ("weight-only", "kbip:2,4", (1, 6, 2, 3, 4, 5), 1, "7f3b1dba6e4247f8", "5fddd7c54bb8487d"),
+    ("odd-weight-only", "cycle:5", (1, 2, 3, 4, 5), 1, "d9fdc3366ef79ad4", "01d9f6ca91ff4880"),
+    ("odd-magic", "path:3", (1, 3, 2), 0, "b6cfb1427dee591b", "2e349e13d559ab79"),
+    ("twin-only-c6xc3", ("cartesian", "cycle:6", "cycle:3"),
+     (1, 4, 11, 10, 14, 17, 6, 7, 3, 18, 15, 8, 9, 5, 2, 13, 12, 16),
+     0, "45c921444aefbed1", "a9cf8df156ead4b9"),
+    ("twin-only-c8xc8", ("direct", "cycle:8", "cycle:8"),
+     label_cycle_product(8, 8).to_labeling().values, 0, "1dec6a66f02dea39", "a7fc293c870cef1f"),
+    ("both", "cycle:6", (1, 2, 3, 4, 5, 6), 1, "4d14b2f041d33f57", "f9a98b9ed4410746"),
+    ("both-kminusm", "kminusm:6", _swapped(label_complete_minus_matching(3).values, 0, 2),
+     1, "c6d829f20cb9381d", "f08426771f1d9195"),
+    ("both-swapped-pair", ("direct", "cycle:3", "cycle:4"), _swapped(_C3XC4, 0, 5),
+     1, "4a3f817839411b00", "b2ee27d76f429b5b"),
+    ("both-capped-c5xc4", ("direct", "cycle:5", "cycle:4"), tuple(range(1, 21)),
+     1, "4d8399e0576c70de", "59970f1a0a806423"),
+    ("both-capped-kbip", "kbip:8,8", tuple(range(1, 17)),
+     1, "f2f8138d7e87836b", "9491c5a391bde7c1"),
+    ("balanced-product", ("direct", "cycle:3", "cycle:4"), _C3XC4,
+     0, "fc56caf31eeb66a9", "3f19560bf6f3dc0e"),
+    ("balanced-c4", "cycle:4", (1, 2, 4, 3), 0, "614e4351692f89cb", "2699d1731f0e8ddc"),
+    ("degenerate", "empty:4", (1, 2, 3, 4), 0, "8dd0105dd1434442", "cae02b0ab8ef8682"),
+]
+
+
+@pytest.mark.parametrize(
+    "graph,values,status,kv,text", [case[1:] for case in VERIFY_GOLDEN],
+    ids=[case[0] for case in VERIFY_GOLDEN],
+)
+def test_verify_stdout_golden(tmp_path, capsys, graph, values, status, kv, text):
+    if isinstance(graph, tuple):
+        kind, g, h = graph
+        graph = str(tmp_path / "product.edges")
+        assert main(["product", "--kind", kind, g, h, "--out", graph]) == 0
+    lab_file = tmp_path / "x.lab"
+    lab_file.write_text("".join(f"{v} {x}\n" for v, x in enumerate(values)))
+    digests = []
+    for fmt in ("kv", "text"):
+        argv = ["verify", "--graph", graph, "--labeling", str(lab_file), "--format", fmt]
+        assert main(argv) == status
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16])
+    assert digests == [kv, text]

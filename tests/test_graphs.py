@@ -83,6 +83,20 @@ def test_from_edges_rejects_loop_and_range():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(InputError, match="outside"):
         Graph.from_edges(3, [(0, 3)])
+    # the constructor from rows checks every row
+    for n, rows, fragment in [
+        (2, ((1,), ()), "1 is in row 0, but 0 is not in row 1"),  # asymmetric
+        (3, ((2, 1), (0,), (0,)), "row 0 is not strictly ascending"),  # unsorted
+        (2, ((1, 1), (0, 0)), "row 0 is not strictly ascending"),  # repeated neighbor
+        (1, ((0,),), "self-loop at vertex 0"),
+        (3, ((3,), (), ()), r"row 0 is not strictly ascending inside \[0,3\)"),  # out of range
+        (3, ((-1,), (), ()), r"row 0 is not strictly ascending inside \[0,3\)"),
+        (3, ((1,), (0,)), "adjacency must be a tuple of 3 rows, got 2"),  # wrong row count
+        (2, [(1,), (0,)], "adjacency must be a tuple of 2 rows"),
+        (2, ([1], (0,)), "row 0 must be a tuple"),  # a list row would make g unhashable
+    ]:
+        with pytest.raises(InputError, match=fragment):
+            Graph(n, rows)
 
 
 @st.composite

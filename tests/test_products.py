@@ -41,20 +41,38 @@ def test_direct_k2_k2_disconnected():
     assert not is_connected(p.base)
 
 
+ADJACENT = {
+    DIRECT: lambda g, h, a, b, a2, b2: g.has_edge(a, a2) and h.has_edge(b, b2),
+    CARTESIAN: lambda g, h, a, b, a2, b2: (
+        (a == a2 and h.has_edge(b, b2)) or (b == b2 and g.has_edge(a, a2))
+    ),
+    LEXICOGRAPHIC: lambda g, h, a, b, a2, b2: (
+        g.has_edge(a, a2) or (a == a2 and h.has_edge(b, b2))
+    ),
+}
+
+
+def assert_rows_follow_definition(p):
+    """Each adjacency row equals the enumeration of the product's adjacency
+    rule over all pairs, in id order (so the row is also ascending)."""
+    g, h = p.factor_g, p.factor_h
+    adjacent = ADJACENT[p.kind]
+    for v in range(p.base.n):
+        a, b = p.decode(v)
+        expected = tuple(
+            p.encode(a2, b2)
+            for a2 in range(g.n)
+            for b2 in range(h.n)
+            if adjacent(g, h, a, b, a2, b2)
+        )
+        assert p.base.neighbors(v) == expected
+
+
 def test_lexicographic_c4_empty3_degree():
     p = product(LEXICOGRAPHIC, cycle(4), empty_graph(3))
     assert p.base.n == 12
     assert regularity(p.base) == 6
-    # cross-check one neighborhood by direct enumeration of the adjacency rule
-    g, h = cycle(4), empty_graph(3)
-    for v in range(p.base.n):
-        a, b = p.decode(v)
-        expected = set()
-        for a2 in range(g.n):
-            for b2 in range(h.n):
-                if g.has_edge(a, a2) or (a == a2 and h.has_edge(b, b2)):
-                    expected.add(p.encode(a2, b2))
-        assert expected == set(p.base.neighbors(v))
+    assert_rows_follow_definition(p)
 
 
 def test_layers():
@@ -96,6 +114,12 @@ def test_order_and_degree_formulas(kind, g, h):
         else:
             want = dg * dh
         assert p.base.degree(v) == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([CARTESIAN, LEXICOGRAPHIC, DIRECT]), FACTORS, FACTORS)
+def test_rows_follow_product_definition(kind, g, h):
+    assert_rows_follow_definition(product(kind, g, h))
 
 
 @settings(deadline=None, max_examples=40)
