@@ -10,8 +10,6 @@ from .graphs import (
     cycle,
     empty_graph,
     format_edge_list,
-    is_bipartite,
-    is_connected,
     parse_edge_list,
     path,
     regularity,
@@ -20,11 +18,8 @@ from .magic import (
     Labeling,
     VerifyReport,
     eit_schedule,
-    odd_regular_obstruction,
-    theoretical_k,
     verify_balanced,
     verify_distance_magic,
-    weight,
     weights,
 )
 from .products import (
@@ -32,8 +27,6 @@ from .products import (
     DIRECT,
     LEXICOGRAPHIC,
     ProductGraph,
-    layer,
-    neighborhood_product_check,
     product,
 )
 
@@ -52,18 +45,11 @@ __all__ = [
     "eit_schedule",
     "empty_graph",
     "format_edge_list",
-    "is_bipartite",
-    "is_connected",
-    "layer",
-    "neighborhood_product_check",
-    "odd_regular_obstruction",
     "parse_edge_list",
     "path",
     "product",
     "regularity",
-    "theoretical_k",
     "verify_balanced",
     "verify_distance_magic",
-    "weight",
     "weights",
 ]

@@ -126,15 +126,6 @@ class GridLabeling:
         """Flatten under vertex id = i * cols + j."""
         return Labeling(tuple(x for row in self.entries for x in row))
 
-    @staticmethod
-    def from_labeling(labeling: Labeling, rows: int, cols: int) -> "GridLabeling":
-        if rows * cols != len(labeling.values):
-            raise InputError(f"cannot reshape {len(labeling.values)} labels into {rows}x{cols}")
-        vals = labeling.values
-        return GridLabeling(
-            rows, cols, tuple(tuple(vals[i * cols + j] for j in range(cols)) for i in range(rows))
-        )
-
 
 def label_cycle_product(m: int, n: int) -> GridLabeling:
     """Distance magic (never balanced) labeling of the direct product of C_m

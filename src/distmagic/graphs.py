@@ -1,5 +1,5 @@
 """Simple finite undirected graphs: representation, named generators,
-structural predicates, and the edge-list text format.
+regularity, and the edge-list text format.
 
 Vertices are contiguous 0-based integers.  A graph stores only its sorted
 adjacency: row v is the strictly ascending tuple of v's neighbors, so
@@ -16,7 +16,6 @@ exhausted memory.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -51,7 +50,8 @@ class Graph:
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         if type(adj) is not tuple or len(adj) != n:
-            raise InputError(f"adjacency must be a tuple of {n} rows, got {len(adj)}")
+            got = len(adj) if type(adj) is tuple else type(adj).__name__
+            raise InputError(f"adjacency must be a tuple of {n} rows, got {got}")
         for v, row in enumerate(adj):
             if type(row) is not tuple:
                 raise InputError(f"row {v} must be a tuple")
@@ -96,16 +96,9 @@ class Graph:
         self._check_vertex(v)
         return self.adjacency[v]
 
-    def neighbor_set(self, v: int) -> frozenset:
-        self._check_vertex(v)
-        return frozenset(self.adjacency[v])
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self.adjacency[u]
 
     def _check_vertex(self, v: int):
         if not (0 <= v < self.n):
@@ -161,7 +154,7 @@ def complete_minus_matching(order: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Structural predicates
+# Regularity
 # ---------------------------------------------------------------------------
 
 def regularity(g: Graph) -> int | None:
@@ -173,43 +166,6 @@ def regularity(g: Graph) -> int | None:
     if len(degrees) == 1:
         return degrees.pop()
     return None
-
-
-def is_connected(g: Graph) -> bool:
-    """Standard reachability; the 0-vertex graph counts as connected."""
-    if g.n == 0:
-        return True
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == g.n
-
-
-def is_bipartite(g: Graph) -> bool:
-    """2-colorability; the 0-vertex graph counts as bipartite."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

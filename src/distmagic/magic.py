@@ -33,12 +33,8 @@ class Labeling:
         return len(self.values)
 
 
-def check_labeling(g: Graph, labeling: Labeling):
-    """Reject anything that is not a bijection onto {1..n} for this graph."""
-    _check_bijection(g.n, labeling)
-
-
 def _check_bijection(n: int, labeling: Labeling):
+    """Reject anything that is not a bijection onto {1..n}."""
     vals = labeling.values
     if len(vals) != n:
         raise InputError(f"labeling has {len(vals)} entries for a graph on {n} vertices")
@@ -67,12 +63,6 @@ def label_positions(labeling: Labeling) -> tuple[int, ...]:
     for v, x in enumerate(labeling.values):
         pos[x - 1] = v
     return tuple(pos)
-
-
-def weight(g: Graph, labeling: Labeling, v: int) -> int:
-    """Sum of labels over N(v); 0 for isolated vertices."""
-    check_labeling(g, labeling)
-    return sum(labeling.values[u] for u in g.neighbors(v))
 
 
 def weights(g: Graph, labeling: Labeling) -> tuple[int, ...]:
@@ -104,7 +94,7 @@ class VerifyReport:
 
 def verify_distance_magic(g: Graph, labeling: Labeling) -> VerifyReport:
     """Check the uniform-weight condition and report per-vertex weights."""
-    check_labeling(g, labeling)
+    _check_bijection(g.n, labeling)
     w = weights(g, labeling)
     uniform = len(set(w)) <= 1
     k = (w[0] if g.n else 0) if uniform else None
@@ -177,25 +167,6 @@ def _weight_failures(w):
         for v, x in bad[:MAX_DIAGNOSTICS]
     )
     return diags, len(bad)
-
-
-def theoretical_k(g: Graph) -> int | None:
-    """Magic constant r(n+1)/2 forced on any r-regular distance magic graph.
-
-    None when g is irregular or when r(n+1) is odd (integrality obstruction).
-    """
-    r = regularity(g)
-    if r is None:
-        return None
-    if (r * (g.n + 1)) % 2:
-        return None
-    return r * (g.n + 1) // 2
-
-
-def odd_regular_obstruction(g: Graph) -> bool:
-    """True iff g is r-regular with r odd, hence certainly not distance magic."""
-    r = regularity(g)
-    return r is not None and r % 2 == 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,6 @@ DIRECT = "direct"
 
 PRODUCT_KINDS = (CARTESIAN, LEXICOGRAPHIC, DIRECT)
 
-H_LAYER = "H"
-G_LAYER = "G"
-
 
 @dataclass(frozen=True)
 class ProductGraph:
@@ -71,33 +68,3 @@ def product(kind: str, g: Graph, h: Graph) -> ProductGraph:
 
     base = Graph(gn * hn, tuple([tuple(row(a, b)) for a in range(gn) for b in range(hn)]))
     return ProductGraph(base, g, h, kind)
-
-
-def layer(p: ProductGraph, axis: str, fixed: int) -> list[int]:
-    """Vertex ids of one layer, in coordinate order.
-
-    axis H: the H-layer of the G-vertex `fixed` (ids (fixed,0)..(fixed,hsize-1)).
-    axis G: the G-layer of the H-vertex `fixed`.
-    """
-    if axis == H_LAYER:
-        if not (0 <= fixed < p.gsize):
-            raise InputError(f"G-vertex {fixed} out of range [0,{p.gsize})")
-        return [p.encode(fixed, hi) for hi in range(p.hsize)]
-    if axis == G_LAYER:
-        if not (0 <= fixed < p.hsize):
-            raise InputError(f"H-vertex {fixed} out of range [0,{p.hsize})")
-        return [p.encode(gi, fixed) for gi in range(p.gsize)]
-    raise InputError(f"axis must be {H_LAYER!r} or {G_LAYER!r}, got {axis!r}")
-
-
-def neighborhood_product_check(p: ProductGraph) -> bool:
-    """Self-test for direct products: N(a,b) must equal N_G(a) x N_H(b)."""
-    if p.kind != DIRECT:
-        raise InputError(f"neighborhood product check applies to direct products, got {p.kind!r}")
-    for a in range(p.gsize):
-        ga = p.factor_g.neighbors(a)
-        for b in range(p.hsize):
-            expected = {p.encode(x, y) for x in ga for y in p.factor_h.neighbors(b)}
-            if expected != set(p.base.neighbors(p.encode(a, b))):
-                return False
-    return True

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
+from .errors import InputError
 from .graphs import Graph, regularity
 from .magic import Labeling
 
@@ -46,7 +47,7 @@ class SearchBudget:
 
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes <= 0:
-            raise ValueError(f"bounded budget must be positive, got {self.max_nodes}")
+            raise InputError(f"bounded budget must be positive, got {self.max_nodes}")
 
 
 @dataclass
@@ -75,12 +76,13 @@ class _Budget(Exception):
 def find_distance_magic(g: Graph, budget: SearchBudget | None = None) -> SearchOutcome:
     """Decide whether g admits a distance magic labeling.
 
-    Fast paths: odd-regular graphs are rejected outright, and for regular
-    graphs the magic constant is pinned to r(n+1)/2.  Irregular graphs are
-    searched once per candidate k in the rearrangement bounds
-    ceil(min/n) .. floor(max/n) of sum(d(v) * l(v)) / n, ascending.  Before
-    the search, graphs whose kernel forces two equal labels are rejected
-    with nodes == 0.
+    Summing the weights gives n*k = sum(d(v) * l(v)), so k runs over the
+    rearrangement bounds ceil(min/n) .. floor(max/n) of that sum, ascending,
+    with one search per candidate.  On an r-regular graph both bounds equal
+    r*n(n+1)/2, which pins k = r(n+1)/2.  An odd r forces an even n, so k
+    is a half-integer and odd-regular graphs are rejected outright (prune
+    `odd_regular`).  Before the search, graphs whose kernel forces two equal
+    labels are rejected with nodes == 0.
     """
     stats = SearchStats()
     n = g.n
@@ -91,22 +93,16 @@ def find_distance_magic(g: Graph, budget: SearchBudget | None = None) -> SearchO
     if r is not None and r % 2 == 1:
         stats.prune("odd_regular")
         return SearchOutcome(EXHAUSTED_NONE, None, None, stats)
-    if r is not None:
-        if (r * (n + 1)) % 2:
-            stats.prune("k_not_integral")
-            return SearchOutcome(EXHAUSTED_NONE, None, None, stats)
-        candidates = [r * (n + 1) // 2]
-    else:
-        degrees = sorted(g.degree(v) for v in range(n))
-        labels = list(range(1, n + 1))
-        low = sum(d * l for d, l in zip(degrees, reversed(labels)))
-        high = sum(d * l for d, l in zip(degrees, labels))
-        k_min = -(-low // n)
-        k_max = high // n
-        if k_min > k_max:
-            stats.prune("k_range_empty")
-            return SearchOutcome(EXHAUSTED_NONE, None, None, stats)
-        candidates = list(range(k_min, k_max + 1))
+    degrees = sorted(g.degree(v) for v in range(n))
+    labels = list(range(1, n + 1))
+    low = sum(d * l for d, l in zip(degrees, reversed(labels)))
+    high = sum(d * l for d, l in zip(degrees, labels))
+    k_min = -(-low // n)
+    k_max = high // n
+    if k_min > k_max:
+        stats.prune("k_range_empty")
+        return SearchOutcome(EXHAUSTED_NONE, None, None, stats)
+    candidates = range(k_min, k_max + 1)
 
     pair = kernel_forced_equal(g)
     if pair is not None:

@@ -29,6 +29,48 @@ def brute_force_distance_magic(g: Graph):
     return False, None, None
 
 
+def is_connected(g: Graph) -> bool:
+    """Reachability from vertex 0 by depth-first search; the 0-vertex graph
+    counts as connected."""
+    if g.n == 0:
+        return True
+    seen, stack = {0}, [0]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
+
+
+def is_bipartite(g: Graph) -> bool:
+    """2-colorability by depth-first search from every uncolored vertex; the
+    0-vertex graph counts as bipartite."""
+    color = {}
+    for start in range(g.n):
+        if start in color:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in g.neighbors(u):
+                if w not in color:
+                    color[w] = 1 - color[u]
+                    stack.append(w)
+                elif color[w] == color[u]:
+                    return False
+    return True
+
+
+def regular_magic_constant(g: Graph) -> Fraction:
+    """r(n+1)/2 for an r-regular graph, exact.  The n weights of a distance
+    magic labeling sum to n*k, and also to r*(1 + ... + n)."""
+    degrees = {len(row) for row in g.adjacency}
+    assert len(degrees) == 1, "graph is not regular"
+    return Fraction(degrees.pop() * (g.n + 1), 2)
+
+
 def enumerate_magic_labelings(g: Graph):
     """Every distance magic labeling of g, as (labels, k) pairs."""
     out = []
@@ -51,7 +93,7 @@ def forced_equal_reference(g: Graph):
     """
     n = g.n
     m = [
-        [Fraction(int(u in g.neighbor_set(v))) for u in range(n)] + [Fraction(-1)]
+        [Fraction(int(u in g.neighbors(v))) for u in range(n)] + [Fraction(-1)]
         for v in range(n)
     ]
     pivots = []

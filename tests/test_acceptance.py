@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import brute_force_distance_magic
+from conftest import brute_force_distance_magic, regular_magic_constant
 from distmagic.constructors import (
     cycle_product_magic_constant,
     label_c4,
@@ -31,7 +31,7 @@ from distmagic.graphs import (
     path,
     regularity,
 )
-from distmagic.magic import Labeling, theoretical_k, verify_balanced, weights
+from distmagic.magic import Labeling, verify_balanced, weights
 from distmagic.products import CARTESIAN, DIRECT, LEXICOGRAPHIC, product
 from distmagic.rearrange import (
     CLOSED_H_LAYER,
@@ -116,7 +116,7 @@ def test_criterion_3_balanced_constructors():
         for g, lab in cases:
             report = verify_balanced(g, lab)
             assert report.is_balanced
-            assert report.magic_constant == theoretical_k(g)
+            assert report.magic_constant == regular_magic_constant(g)
 
         g_factors = [cycle(3), cycle(4), cycle(5), k4()]
         h_factors = [
@@ -135,14 +135,14 @@ def test_criterion_3_balanced_constructors():
                 report = verify_balanced(base, lab)
                 assert report.is_balanced
                 expected = (h.n * r_g + r_h) * (order + 1) // 2
-                assert report.magic_constant == expected == theoretical_k(base)
+                assert report.magic_constant == expected == regular_magic_constant(base)
 
                 lab = label_direct(g, h, h_lab)
                 base = product(DIRECT, g, h).base
                 report = verify_balanced(base, lab)
                 assert report.is_balanced
                 expected = (r_h * r_g // 2) * (order + 1)
-                assert report.magic_constant == expected == theoretical_k(base)
+                assert report.magic_constant == expected == regular_magic_constant(base)
 
 
 def test_criterion_4_search_characterizations():

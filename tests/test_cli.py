@@ -267,7 +267,8 @@ TOO_LARGE = [
         ["nonesuch"],
     ]
     + [["search", "--graph", spec] for spec in BAD_SPECS]
-    + TOO_LARGE,
+    + TOO_LARGE
+    + [["search", "--graph", "cycle:4", "--budget", budget] for budget in ("0", "-3")],
 )
 def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -281,6 +282,8 @@ def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
         assert "cycle, path, empty, kbip, kminusm" in err
     if argv in TOO_LARGE:
         assert "exceed the limit of" in err
+    if "--budget" in argv:
+        assert "budget must be positive" in err
 
 
 def test_spec_parsing_kinds(capsys):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_bipartite, is_connected
 from distmagic.errors import InputError
 from distmagic.graphs import (
     Graph,
@@ -10,8 +11,6 @@ from distmagic.graphs import (
     cycle,
     empty_graph,
     format_edge_list,
-    is_bipartite,
-    is_connected,
     parse_edge_list,
     path,
     regularity,
@@ -36,7 +35,7 @@ def test_complete_minus_matching6():
     assert len(g.edges) == 12
     assert regularity(g) == 4
     for i in range(3):
-        assert not g.has_edge(2 * i, 2 * i + 1)
+        assert 2 * i + 1 not in g.neighbors(2 * i)
 
 
 def test_neighbors_examples():
@@ -94,6 +93,9 @@ def test_from_edges_rejects_loop_and_range():
         (3, ((1,), (0,)), "adjacency must be a tuple of 3 rows, got 2"),  # wrong row count
         (2, [(1,), (0,)], "adjacency must be a tuple of 2 rows"),
         (2, ([1], (0,)), "row 0 must be a tuple"),  # a list row would make g unhashable
+        (1, None, "adjacency must be a tuple of 1 rows, got NoneType"),  # no len()
+        (1, 5, "adjacency must be a tuple of 1 rows, got int"),
+        (1, iter([()]), "adjacency must be a tuple of 1 rows, got list_iterator"),
     ]:
         with pytest.raises(InputError, match=fragment):
             Graph(n, rows)
@@ -115,7 +117,7 @@ def small_graphs(draw, max_n=8):
 def test_neighbor_symmetry_and_handshake(g):
     for v in range(g.n):
         for u in g.neighbors(v):
-            assert v in g.neighbor_set(u)
+            assert v in g.neighbors(u)
     assert sum(g.degree(v) for v in range(g.n)) == 2 * len(g.edges)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_magic_labelings
+from conftest import enumerate_magic_labelings, regular_magic_constant
 from distmagic.errors import InputError
 from distmagic.graphs import (
     Graph,
@@ -19,25 +19,22 @@ from distmagic.magic import (
     Labeling,
     eit_schedule,
     format_labeling,
-    odd_regular_obstruction,
     parse_labeling,
     report_kv,
     report_text,
-    theoretical_k,
     verify_balanced,
     verify_distance_magic,
-    weight,
     weights,
 )
-from distmagic.products import DIRECT, product
+from distmagic.search import EXHAUSTED_NONE, find_distance_magic
 
 C4_LABELS = Labeling((1, 2, 4, 3))
 
 
 def assert_twins_share_neighborhoods(g, twin_map):
     for v, t in enumerate(twin_map):
-        assert not g.has_edge(v, t)
-        assert g.neighbor_set(v) == g.neighbor_set(t)
+        assert t not in g.neighbors(v)
+        assert g.neighbors(v) == g.neighbors(t)
 
 
 def k4():
@@ -46,15 +43,15 @@ def k4():
 
 def test_weight_examples():
     # vertex 0 carries label 1 in the canonical C4 labeling
-    assert weight(cycle(4), C4_LABELS, 0) == 5
-    assert weight(empty_graph(4), Labeling((1, 2, 3, 4)), 1) == 0
+    assert weights(cycle(4), C4_LABELS)[0] == 5
+    assert weights(empty_graph(4), Labeling((1, 2, 3, 4)))[1] == 0
 
 
 def test_p3_magic_labelings_by_enumeration():
     # independent enumeration of all 6 bijections of P3
     found = enumerate_magic_labelings(path(3))
     assert found == [((1, 3, 2), 3), ((2, 3, 1), 3)]
-    assert weight(path(3), Labeling((1, 3, 2)), 1) == 3
+    assert weights(path(3), Labeling((1, 3, 2)))[1] == 3
 
 
 def test_verify_distance_magic_c4():
@@ -123,24 +120,22 @@ def test_balanced_implies_even_regularity():
         assert r is not None and r % 2 == 0
 
 
-def test_theoretical_k():
-    assert theoretical_k(cycle(4)) == 5
-    assert theoretical_k(product(DIRECT, cycle(4), cycle(4)).base) == 34  # 4-regular on 16
-    assert theoretical_k(k4()) is None  # 3 * 5 / 2 is not integral
-    assert theoretical_k(path(3)) is None
-    assert theoretical_k(empty_graph(4)) == 0
-
-
 def test_odd_regular_obstruction():
-    assert odd_regular_obstruction(k4())
-    assert not odd_regular_obstruction(cycle(6))
-    assert not odd_regular_obstruction(path(3))
+    # an odd-regular graph has even order, so r(n+1)/2 is not an integer;
+    # the search rejects it before any node, and enumeration agrees
+    for g in [path(2), k4(), complete_bipartite(3, 3)]:
+        outcome = find_distance_magic(g)
+        assert outcome.tag == EXHAUSTED_NONE
+        assert outcome.stats.prunes == {"odd_regular": 1} and outcome.stats.nodes == 0
+        assert enumerate_magic_labelings(g) == []
+    for g in [cycle(6), path(3)]:
+        assert "odd_regular" not in find_distance_magic(g).stats.prunes
 
 
 def test_magic_constant_matches_theory_on_regular_graphs():
     for g in [cycle(4), complete_bipartite(2, 2), complete_minus_matching(6)]:
         for labels, k in enumerate_magic_labelings(g):
-            assert k == theoretical_k(g)
+            assert k == regular_magic_constant(g)
 
 
 def test_k4_admits_no_magic_labeling():
@@ -177,7 +172,7 @@ def test_bijection_violations_are_listed():
     with pytest.raises(InputError, match=r"duplicate labels \[2\].*missing labels \[4\]"):
         verify_distance_magic(cycle(4), Labeling((1, 2, 2, 3)))
     with pytest.raises(InputError, match="entries"):
-        weight(cycle(4), Labeling((1, 2, 3)), 0)
+        verify_distance_magic(cycle(4), Labeling((1, 2, 3)))
 
 
 @st.composite

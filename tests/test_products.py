@@ -2,25 +2,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_bipartite, is_connected
 from distmagic.errors import InputError
 from distmagic.graphs import (
     Graph,
     complete_bipartite,
     cycle,
     empty_graph,
-    is_bipartite,
-    is_connected,
     path,
     regularity,
 )
 from distmagic.products import (
     CARTESIAN,
     DIRECT,
-    G_LAYER,
-    H_LAYER,
     LEXICOGRAPHIC,
-    layer,
-    neighborhood_product_check,
     product,
 )
 
@@ -42,12 +37,12 @@ def test_direct_k2_k2_disconnected():
 
 
 ADJACENT = {
-    DIRECT: lambda g, h, a, b, a2, b2: g.has_edge(a, a2) and h.has_edge(b, b2),
+    DIRECT: lambda g, h, a, b, a2, b2: a2 in g.neighbors(a) and b2 in h.neighbors(b),
     CARTESIAN: lambda g, h, a, b, a2, b2: (
-        (a == a2 and h.has_edge(b, b2)) or (b == b2 and g.has_edge(a, a2))
+        (a == a2 and b2 in h.neighbors(b)) or (b == b2 and a2 in g.neighbors(a))
     ),
     LEXICOGRAPHIC: lambda g, h, a, b, a2, b2: (
-        g.has_edge(a, a2) or (a == a2 and h.has_edge(b, b2))
+        a2 in g.neighbors(a) or (a == a2 and b2 in h.neighbors(b))
     ),
 }
 
@@ -73,25 +68,6 @@ def test_lexicographic_c4_empty3_degree():
     assert p.base.n == 12
     assert regularity(p.base) == 6
     assert_rows_follow_definition(p)
-
-
-def test_layers():
-    p = product(DIRECT, cycle(3), cycle(4))
-    assert layer(p, H_LAYER, 0) == [0, 1, 2, 3]
-    assert layer(p, G_LAYER, 2) == [2, 6, 10]
-    for g in range(p.gsize):
-        assert len(layer(p, H_LAYER, g)) == p.hsize
-    with pytest.raises(InputError):
-        layer(p, H_LAYER, 3)
-    with pytest.raises(InputError):
-        layer(p, "X", 0)
-
-
-def test_neighborhood_product_check():
-    assert neighborhood_product_check(product(DIRECT, cycle(3), cycle(3)))
-    assert neighborhood_product_check(product(DIRECT, cycle(4), cycle(4)))
-    with pytest.raises(InputError):
-        neighborhood_product_check(product(CARTESIAN, cycle(3), cycle(3)))
 
 
 FACTORS = st.sampled_from(

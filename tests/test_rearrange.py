@@ -103,7 +103,7 @@ def test_exchange_premise_rejects_twins_with_different_neighborhoods():
     enc = bl.product.encode
     v1, v2 = enc(0, 0), enc(1, 1)
     base = bl.product.base
-    assert base.neighbor_set(v2) != base.neighbor_set(enc(1, 0))
+    assert base.neighbors(v2) != base.neighbors(enc(1, 0))
     # claim (0,0) and (1,1) are twins: lemma 1 would then exchange the labels
     # of (1,1) and (1,0), whose neighborhoods differ in C3 x C4
     twins = list(bl.twins)

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_distance_magic, forced_equal_reference
+from conftest import brute_force_distance_magic, forced_equal_reference, regular_magic_constant
 from distmagic.constructors import (
     NOT_DISTANCE_MAGIC,
     classify_cycle_cartesian,
     classify_cycle_direct,
     classify_lex_cycles,
 )
+from distmagic.errors import InputError
 from distmagic.graphs import (
     Graph,
     complete_bipartite,
@@ -18,6 +19,7 @@ from distmagic.graphs import (
     cycle,
     empty_graph,
     path,
+    regularity,
 )
 from distmagic.magic import verify_distance_magic
 from distmagic.products import CARTESIAN, DIRECT, LEXICOGRAPHIC, product
@@ -141,8 +143,9 @@ def test_budget_exceeded_is_an_outcome():
 
 
 def test_budget_must_be_positive():
-    with pytest.raises(ValueError):
-        SearchBudget(max_nodes=0)
+    for bad in (0, -3):
+        with pytest.raises(InputError, match="budget must be positive"):
+            SearchBudget(max_nodes=bad)
 
 
 def test_determinism():
@@ -207,3 +210,5 @@ def test_search_soundness_and_oracle_agreement(g):
         report = verify_distance_magic(g, outcome.labeling)
         assert report.is_distance_magic
         assert report.magic_constant == outcome.magic_constant
+        if regularity(g) is not None:
+            assert outcome.magic_constant == regular_magic_constant(g)
