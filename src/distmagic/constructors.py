@@ -261,8 +261,8 @@ def parse_grid(text: str) -> tuple[GridLabeling, int]:
         m, n, k = (int(x) for x in header)
     except ValueError:
         raise InputError(f"line 1: grid header must be three integers, got {lines[0]!r}")
-    if m < 1 or n < 1:
-        raise InputError(f"line 1: grid dimensions must be positive, got m={m} n={n}")
+    if m < 3 or n < 3:
+        raise InputError(f"line 1: grid dimensions must be cycle lengths >= 3, got m={m} n={n}")
     body = lines[1:]
     if len(body) != m:
         raise InputError(f"expected {m} grid rows after the header, got {len(body)}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable
 
 from .errors import InputError
@@ -40,6 +41,13 @@ class Graph:
 
     adjacency[v] is the strictly ascending tuple of v's neighbors; u is in
     row v exactly when v is in row u.
+
+    Rows are checked once, where they enter the library: `Graph(n, rows)`
+    checks every row for type, range, order, loops and symmetry, since its
+    rows come from the caller.  The library's own builders -- `from_edges`,
+    the generators, `parse_edge_list` and `products.product` -- write rows
+    that are valid by construction and skip that check through
+    `Graph._of_rows`.
     """
 
     n: int
@@ -67,6 +75,14 @@ class Graph:
                     raise InputError(f"vertex {u} is in row {v}, but {v} is not in row {u}")
                 prev = u
 
+    @classmethod
+    def _of_rows(cls, n: int, adjacency: tuple[tuple[int, ...], ...]) -> "Graph":
+        """A graph from rows its builder guarantees valid; no row check."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adjacency", adjacency)
+        return g
+
     @staticmethod
     def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from arbitrary (u, v) pairs in either endpoint order;
@@ -80,7 +96,7 @@ class Graph:
                 raise InputError(f"edge ({u},{v}) has an endpoint outside [0,{n})")
             rows[u].append(v)
             rows[v].append(u)
-        return Graph(n, tuple([tuple(sorted(set(row))) for row in rows]))
+        return Graph._of_rows(n, tuple([tuple(sorted(set(row))) for row in rows]))
 
     @cached_property
     def edges(self) -> frozenset:
@@ -128,7 +144,7 @@ def empty_graph(n: int) -> Graph:
     if n < 0:
         raise InputError(f"empty graph order must be >= 0, got n={n}")
     check_size(n)
-    return Graph(n, ((),) * n)
+    return Graph._of_rows(n, ((),) * n)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -138,7 +154,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     if b < 1:
         raise InputError(f"complete bipartite part size b must be >= 1, got b={b}")
     check_size(a + b, a * b)
-    return Graph(a + b, (tuple(range(a, a + b)),) * a + (tuple(range(a)),) * b)
+    return Graph._of_rows(a + b, (tuple(range(a, a + b)),) * a + (tuple(range(a)),) * b)
 
 
 def complete_minus_matching(order: int) -> Graph:
@@ -147,7 +163,7 @@ def complete_minus_matching(order: int) -> Graph:
     if order < 2 or order % 2:
         raise InputError(f"order must be even and >= 2, got order={order}")
     check_size(order, order * (order - 2) // 2)
-    return Graph(
+    return Graph._of_rows(
         order,
         tuple([tuple([u for u in range(order) if u // 2 != v // 2]) for v in range(order)]),
     )
@@ -176,7 +192,15 @@ def regularity(g: Graph) -> int | None:
 # ---------------------------------------------------------------------------
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format, rejecting malformed lines with their line number."""
+    """Parse the edge-list format, rejecting malformed lines with their line number.
+
+    The error reported is the one on the first bad line.  Each line is
+    checked for shape, order, loops and range as it is read; repeats of an
+    earlier edge are found in the sorted rows, and only then are the lines
+    read again for the line number.  Besides the text and its lines, parsing
+    holds only the rows (no set of every edge read), and the graph is built
+    without a second row check.
+    """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise InputError("line 1: missing header 'n m'")
@@ -190,31 +214,52 @@ def parse_edge_list(text: str) -> Graph:
     if n < 0 or m < 0:
         raise InputError(f"line 1: n and m must be nonnegative, got n={n} m={m}")
     check_size(n, m)
-    body = lines[1:]
-    if len(body) != m:
-        raise InputError(f"expected {m} edge lines after the header, got {len(body)}")
-    seen = set()
+    if len(lines) - 1 != m:
+        raise InputError(f"expected {m} edge lines after the header, got {len(lines) - 1}")
     rows = [[] for _ in range(n)]
-    for i, line in enumerate(body, start=2):
-        parts = line.split()
-        if len(parts) != 2:
-            raise InputError(f"line {i}: edge line must be 'u v', got {line!r}")
+    for i, line in enumerate(islice(lines, 1, None), start=2):
         try:
-            u, v = int(parts[0]), int(parts[1])
+            a, b = line.split()
+            u, v = int(a), int(b)
         except ValueError:
-            raise InputError(f"line {i}: edge endpoints must be integers, got {line!r}")
-        if u == v:
-            raise InputError(f"line {i}: self-loop at vertex {u}")
-        if not (0 <= u < v):
-            raise InputError(f"line {i}: endpoints must satisfy u < v, got {u} {v}")
-        if v >= n:
-            raise InputError(f"line {i}: vertex {v} out of range [0,{n})")
+            u = v = -1
+        if not (0 <= u < v < n):
+            _check_no_repeat(lines, i)  # a repeat on an earlier line comes first
+            _reject_edge_line(i, line, n)
+        rows[u].append(v)
+        rows[v].append(u)
+    for v, row in enumerate(rows):
+        row.sort()
+        rows[v] = row = tuple(row)
+        if len(set(row)) != len(row):
+            _check_no_repeat(lines, m + 2)  # raises: some edge repeats
+    return Graph._of_rows(n, tuple(rows))
+
+
+def _reject_edge_line(i: int, line: str, n: int):
+    """Raise the error for edge line i, which is not a valid 'u v'."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise InputError(f"line {i}: edge line must be 'u v', got {line!r}")
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise InputError(f"line {i}: edge endpoints must be integers, got {line!r}")
+    if u == v:
+        raise InputError(f"line {i}: self-loop at vertex {u}")
+    if not (0 <= u < v):
+        raise InputError(f"line {i}: endpoints must satisfy u < v, got {u} {v}")
+    raise InputError(f"line {i}: vertex {v} out of range [0,{n})")
+
+
+def _check_no_repeat(lines: list[str], stop: int):
+    """Reject the first edge repeated on lines 2..stop-1, which all parsed."""
+    seen = set()
+    for i in range(2, stop):
+        u, v = map(int, lines[i - 1].split())
         if (u, v) in seen:
             raise InputError(f"line {i}: duplicate edge ({u},{v})")
         seen.add((u, v))
-        rows[u].append(v)
-        rows[v].append(u)
-    return Graph(n, tuple([tuple(sorted(row)) for row in rows]))
 
 
 def format_edge_list(g: Graph) -> str:

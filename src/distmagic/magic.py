@@ -14,6 +14,7 @@ magic constant.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -119,8 +120,16 @@ def verify_balanced(g: Graph, labeling: Labeling) -> VerifyReport:
     N(w).  Since u is in N(w) exactly when w is in N(u), that says N(u) is a
     subset of N(t(u)) for every u, and as t is an involution, N(u) = N(t(u)):
     one row comparison per vertex.  Each failing pair (w, u) is a vertex w of
-    N(u) missing from N(t(u)); they are reported in (w, u) order after the
-    weight failures.  When balanced, twin_map[v] = t(v).
+    N(u) missing from N(t(u)); they are counted per row, and the first ones in
+    (w, u) order are reported after the weight failures.  When balanced,
+    twin_map[v] = t(v).
+
+    The rows are not checked again here: every Graph holds valid rows (see
+    Graph).  Time is O(n + |E| log D), D the largest degree, and extra
+    memory O(n): failing pairs are counted, never collected.  The
+    diagnostics come from a scan over w ascending and u in N(w) ascending
+    that stops once MAX_DIAGNOSTICS are filled, with membership in N(t(u))
+    tested by bisection.
     """
     base = verify_distance_magic(g, labeling)
     n = g.n
@@ -132,15 +141,16 @@ def verify_balanced(g: Graph, labeling: Labeling) -> VerifyReport:
         pos = label_positions(labeling)
         twins = [pos[n - x] for x in vals]
         adj = g.adjacency
-        bad = []
+        differs = bytearray(n)  # differs[u]: N(u) != N(t(u))
+        twin_failures = 0
         for u, t in enumerate(twins):
             if adj[u] != adj[t]:
-                bad.extend((w, u) for w in set(adj[u]).difference(adj[t]))
-        bad.sort()
-        count += len(bad)
-        for w, u in bad[: MAX_DIAGNOSTICS - len(failures)]:
-            failures.append(Diagnostic(w, expected=n + 1 - vals[u], actual=vals[u], kind="twin"))
-        if not bad and base.is_distance_magic:
+                differs[u] = 1
+                twin_failures += len(set(adj[u]).difference(adj[t]))
+        count += twin_failures
+        if twin_failures and len(failures) < MAX_DIAGNOSTICS:
+            _append_twin_diagnostics(adj, vals, twins, differs, failures)
+        if not twin_failures and base.is_distance_magic:
             twin_map = tuple(twins)
 
     return VerifyReport(
@@ -153,6 +163,21 @@ def verify_balanced(g: Graph, labeling: Labeling) -> VerifyReport:
         failures=tuple(failures),
         failure_count=count,
     )
+
+
+def _append_twin_diagnostics(adj, vals, twins, differs, failures):
+    """Append failing pairs (w, u) in (w, u) order until MAX_DIAGNOSTICS."""
+    n = len(vals)
+    for w, row in enumerate(adj):
+        for u in row:
+            if differs[u]:
+                back = adj[twins[u]]
+                i = bisect_left(back, w)
+                if i == len(back) or back[i] != w:
+                    failures.append(Diagnostic(w, expected=n + 1 - vals[u], actual=vals[u],
+                                               kind="twin"))
+                    if len(failures) == MAX_DIAGNOSTICS:
+                        return
 
 
 def _weight_failures(w):

@@ -2,7 +2,8 @@
 
 Vertex pairs (g, h) are encoded row-major as g * |V(H)| + h, so each H-layer
 (fix g, vary h) is a contiguous block of ids.  A product's adjacency row is
-written straight from its factors' rows by the product's neighborhood rule:
+written straight from its factors' rows by the product's neighborhood rule,
+already in ascending order, so it is neither sorted nor checked again:
 
     direct          N(a,b) = N(a) x N(b)
     Cartesian       N(a,b) = N(a) x {b}  u  {a} x N(b)
@@ -58,13 +59,25 @@ def product(kind: str, g: Graph, h: Graph) -> ProductGraph:
              LEXICOGRAPHIC: mg * hn * hn + gn * mh}[kind]
     check_size(gn * hn, edges)
 
-    def row(a, b):
+    # Rows come out ascending without a sort: a direct row runs over x in N(a),
+    # then y in N(b); the other two list the x in N(a) below a, then a's own
+    # block, then the x above a.  Rows of validated factors make valid product
+    # rows: no loops (x != a or y != b), and symmetric, since each rule is
+    # symmetric in its pairs.
+    rows = []
+    for a, xs in enumerate(ga):
         if kind == DIRECT:
-            return [x * hn + y for x in ga[a] for y in ha[b]]
-        own = [a * hn + y for y in ha[b]]
+            offsets = [x * hn for x in xs]
+            rows.extend([tuple([o + y for o in offsets for y in ys]) for ys in ha])
+            continue
+        low = [x * hn for x in xs if x < a]
+        high = [x * hn for x in xs if x > a]
+        own = a * hn
         if kind == CARTESIAN:
-            return sorted([x * hn + b for x in ga[a]] + own)
-        return sorted([x * hn + y for x in ga[a] for y in range(hn)] + own)
-
-    base = Graph(gn * hn, tuple([tuple(row(a, b)) for a in range(gn) for b in range(hn)]))
-    return ProductGraph(base, g, h, kind)
+            rows.extend([tuple([o + b for o in low] + [own + y for y in ys] + [o + b for o in high])
+                         for b, ys in enumerate(ha)])
+        else:
+            below = tuple([o + y for o in low for y in range(hn)])
+            above = tuple([o + y for o in high for y in range(hn)])
+            rows.extend([below + tuple([own + y for y in ys]) + above for ys in ha])
+    return ProductGraph(Graph._of_rows(gn * hn, tuple(rows)), g, h, kind)

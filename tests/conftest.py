@@ -3,7 +3,15 @@
 import itertools
 from fractions import Fraction
 
-from distmagic.graphs import Graph
+from distmagic.errors import InputError
+from distmagic.graphs import Graph, check_size
+from distmagic.magic import (
+    MAX_DIAGNOSTICS,
+    Diagnostic,
+    VerifyReport,
+    label_positions,
+    verify_distance_magic,
+)
 
 
 def brute_force_distance_magic(g: Graph):
@@ -119,3 +127,83 @@ def forced_equal_reference(g: Graph):
         if u != v:
             return u, v
     return None
+
+
+def verify_balanced_reference(g: Graph, labeling) -> VerifyReport:
+    """verify_balanced with every failing twin pair (w, u) -- w in N(u), w not
+    in N(t(u)) -- built, sorted and counted; the oracle for the counted,
+    early-stopping twin diagnostics."""
+    base = verify_distance_magic(g, labeling)
+    n = g.n
+    failures = list(base.failures)
+    count = base.failure_count
+    twin_map = None
+    if n % 2 == 0:
+        vals = labeling.values
+        pos = label_positions(labeling)
+        twins = [pos[n - x] for x in vals]
+        bad = sorted(
+            (w, u)
+            for u, t in enumerate(twins)
+            for w in g.neighbors(u)
+            if w not in g.neighbors(t)
+        )
+        count += len(bad)
+        for w, u in bad[: MAX_DIAGNOSTICS - len(failures)]:
+            failures.append(Diagnostic(w, expected=n + 1 - vals[u], actual=vals[u], kind="twin"))
+        if not bad and base.is_distance_magic:
+            twin_map = tuple(twins)
+    return VerifyReport(
+        weights=base.weights,
+        magic_constant=base.magic_constant,
+        is_distance_magic=base.is_distance_magic,
+        is_balanced=twin_map is not None,
+        degenerate=base.degenerate,
+        twin_map=twin_map,
+        failures=tuple(failures),
+        failure_count=count,
+    )
+
+
+def parse_edge_list_reference(text: str) -> Graph:
+    """The edge-list parser that checks each line in turn, duplicates against
+    a set of every edge read, and builds through the checked Graph(n, rows);
+    the oracle for parse_edge_list's graphs and error messages."""
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise InputError("line 1: missing header 'n m'")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise InputError(f"line 1: header must be 'n m', got {lines[0]!r}")
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:
+        raise InputError(f"line 1: header must be two integers, got {lines[0]!r}")
+    if n < 0 or m < 0:
+        raise InputError(f"line 1: n and m must be nonnegative, got n={n} m={m}")
+    check_size(n, m)
+    body = lines[1:]
+    if len(body) != m:
+        raise InputError(f"expected {m} edge lines after the header, got {len(body)}")
+    seen = set()
+    rows = [[] for _ in range(n)]
+    for i, line in enumerate(body, start=2):
+        parts = line.split()
+        if len(parts) != 2:
+            raise InputError(f"line {i}: edge line must be 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError(f"line {i}: edge endpoints must be integers, got {line!r}")
+        if u == v:
+            raise InputError(f"line {i}: self-loop at vertex {u}")
+        if not (0 <= u < v):
+            raise InputError(f"line {i}: endpoints must satisfy u < v, got {u} {v}")
+        if v >= n:
+            raise InputError(f"line {i}: vertex {v} out of range [0,{n})")
+        if (u, v) in seen:
+            raise InputError(f"line {i}: duplicate edge ({u},{v})")
+        seen.add((u, v))
+        rows[u].append(v)
+        rows[v].append(u)
+    return Graph(n, tuple([tuple(sorted(row)) for row in rows]))

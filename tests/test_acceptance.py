@@ -10,8 +10,6 @@ import sys
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from conftest import brute_force_distance_magic, regular_magic_constant
 from distmagic.constructors import (
     cycle_product_magic_constant,

@@ -3,8 +3,8 @@ import pytest
 from distmagic.cli import main
 from distmagic.constructors import label_direct, label_c4
 from distmagic.graphs import cycle, parse_edge_list
-from distmagic.magic import Labeling, parse_labeling, verify_balanced
-from distmagic.products import DIRECT, product
+from distmagic.magic import parse_labeling, verify_balanced
+from distmagic.products import product
 
 
 def run(capsys, *argv):
@@ -268,13 +268,19 @@ TOO_LARGE = [
     ]
     + [["search", "--graph", spec] for spec in BAD_SPECS]
     + TOO_LARGE
-    + [["search", "--graph", "cycle:4", "--budget", budget] for budget in ("0", "-3")],
+    + [["search", "--graph", "cycle:4", "--budget", budget] for budget in ("0", "-3")]
+    + [["verify", "--grid", grid] for grid in ("2x4.grid", "4x1.grid")],  # cycle lengths below 3
 )
 def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "huge.edges").write_text("1000000000 0\n")
+    (tmp_path / "2x4.grid").write_text("2 4 18\n5 6 7 8\n1 2 3 4\n")
+    (tmp_path / "4x1.grid").write_text("4 1 10\n4\n3\n2\n1\n")
     status, _, err = run(capsys, *argv)
     assert status == 2
+    if argv[-1].endswith(".grid"):
+        # the direct product of cycles needs both lengths >= 3
+        assert "line 1: grid dimensions must be cycle lengths >= 3, got m=" in err
     if argv[-1] in BAD_SPECS:
         # the message names the spec it rejects
         assert repr(argv[-1]) in err

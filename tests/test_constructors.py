@@ -22,13 +22,11 @@ from distmagic.constructors import (
 )
 from distmagic.errors import InputError
 from distmagic.graphs import (
-    Graph,
     complete_bipartite,
     complete_minus_matching,
     cycle,
     empty_graph,
     path,
-    regularity,
 )
 from distmagic.magic import Labeling, verify_balanced, verify_distance_magic
 from distmagic.products import CARTESIAN, DIRECT, LEXICOGRAPHIC, product

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import is_bipartite, is_connected
+from conftest import is_bipartite, is_connected, parse_edge_list_reference
 from distmagic.errors import InputError
 from distmagic.graphs import (
     Graph,
@@ -145,11 +145,44 @@ def test_parse_edge_list_golden():
         ("3 1\n0 3\n", "line 2: vertex 3"),
         ("3 2\n0 1\n0 1\n", "line 3: duplicate"),
         ("3 1\n0 one\n", "line 2"),
+        # the first bad line is reported, also when it repeats an earlier edge
+        ("3 3\n0 1\n0 1\n1 x\n", r"^line 3: duplicate edge \(0,1\)$"),
+        ("3 3\n0 1\n1 x\n0 1\n", r"^line 3: edge endpoints must be integers"),
+        ("4 3\n0 1\n2 3\n0 1\n", r"^line 4: duplicate edge \(0,1\)$"),
     ],
 )
 def test_parse_edge_list_errors(text, fragment):
     with pytest.raises(InputError, match=fragment):
         parse_edge_list(text)
+
+
+BAD_EDGE_LINES = ["0 x", "1", "1 2 3", "", "-1 2", " 0   2 "]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge lists on up to 5 vertices whose lines may repeat an edge, loop,
+    reverse, leave the range or be malformed, in any order."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    pair = st.tuples(st.integers(0, 6), st.integers(0, 6)).map(lambda e: f"{e[0]} {e[1]}")
+    lines = draw(st.lists(st.one_of(pair, st.sampled_from(BAD_EDGE_LINES)), max_size=12))
+    m = len(lines) + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    return f"{n} {m}\n" + "".join(line + "\n" for line in lines)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(edge_list_texts())
+@example("3 3\n0 1\n0 1\n1 x\n")
+@example("5 4\n0 1\n2 3\n2 3\n0 5\n")
+def test_parse_edge_list_matches_line_by_line_reference(text):
+    assert parse_outcome(parse_edge_list, text) == parse_outcome(parse_edge_list_reference, text)
 
 
 def test_serializer_sorted():

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_magic_labelings, regular_magic_constant
+from conftest import enumerate_magic_labelings, regular_magic_constant, verify_balanced_reference
+from distmagic.constructors import (
+    label_c4,
+    label_complete_bipartite,
+    label_complete_minus_matching,
+    label_cycle_product,
+    label_direct,
+)
 from distmagic.errors import InputError
 from distmagic.graphs import (
     Graph,
@@ -16,6 +23,7 @@ from distmagic.graphs import (
     regularity,
 )
 from distmagic.magic import (
+    MAX_DIAGNOSTICS,
     Labeling,
     eit_schedule,
     format_labeling,
@@ -26,6 +34,7 @@ from distmagic.magic import (
     verify_distance_magic,
     weights,
 )
+from distmagic.products import DIRECT, LEXICOGRAPHIC, product
 from distmagic.search import EXHAUSTED_NONE, find_distance_magic
 
 C4_LABELS = Labeling((1, 2, 4, 3))
@@ -210,6 +219,60 @@ def test_diagnostics_are_capped():
     report = verify_balanced(g, Labeling(tuple(range(1, 41))))
     assert len(report.failures) <= 32
     assert report.failure_count >= len(report.failures)
+
+
+def assert_same_report(g, labeling):
+    report, reference = verify_balanced(g, labeling), verify_balanced_reference(g, labeling)
+    assert report == reference
+    assert report_text(report) == report_text(reference)
+    assert report_kv(report) == report_kv(reference)
+    return report
+
+
+@pytest.mark.parametrize("m,n", [(8, 8), (8, 12), (12, 8)])
+def test_twin_diagnostics_past_the_cap_match_reference(m, n):
+    # distance magic, never balanced: hundreds of failing twin pairs
+    g = product(DIRECT, cycle(m), cycle(n)).base
+    report = assert_same_report(g, label_cycle_product(m, n).to_labeling())
+    assert report.is_distance_magic and report.failure_count > MAX_DIAGNOSTICS
+    assert len(report.failures) == MAX_DIAGNOSTICS
+
+
+BALANCED_FACTORS = [
+    (cycle(4), label_c4()),
+    (complete_bipartite(2, 2), label_complete_bipartite(1)),
+    (complete_bipartite(4, 4), label_complete_bipartite(2)),
+    (complete_minus_matching(6), label_complete_minus_matching(3)),
+]
+
+
+@st.composite
+def labeled_graphs(draw):
+    """A random graph and labeling; a balanced product labeling; or a cycle
+    product grid labeling (distance magic, not balanced).  The last two have
+    two labels swapped half the time."""
+    source = draw(st.sampled_from(["random", "balanced", "grid"]))
+    if source == "random":
+        return draw(graph_and_labeling(max_n=14))
+    if source == "balanced":
+        kind = draw(st.sampled_from([DIRECT, LEXICOGRAPHIC]))
+        g = draw(st.sampled_from([cycle(3), cycle(4), complete_bipartite(2, 2)]))
+        h, h_labeling = draw(st.sampled_from(BALANCED_FACTORS))
+        graph, values = product(kind, g, h).base, list(label_direct(g, h, h_labeling).values)
+    else:
+        m, n = draw(st.sampled_from([(8, 8), (8, 12)]))
+        graph = product(DIRECT, cycle(m), cycle(n)).base
+        values = list(label_cycle_product(m, n).to_labeling().values)
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, graph.n - 1), min_size=2, max_size=2, unique=True))
+        values[i], values[j] = values[j], values[i]
+    return graph, Labeling(tuple(values))
+
+
+@settings(deadline=None, max_examples=150)
+@given(labeled_graphs())
+def test_verify_balanced_matches_sorted_pairs_reference(gl):
+    assert_same_report(*gl)
 
 
 def test_labeling_file_roundtrip():

@@ -7,8 +7,11 @@ from distmagic.errors import InputError
 from distmagic.graphs import (
     Graph,
     complete_bipartite,
+    complete_minus_matching,
     cycle,
     empty_graph,
+    format_edge_list,
+    parse_edge_list,
     path,
     regularity,
 )
@@ -16,6 +19,7 @@ from distmagic.products import (
     CARTESIAN,
     DIRECT,
     LEXICOGRAPHIC,
+    PRODUCT_KINDS,
     product,
 )
 
@@ -121,6 +125,27 @@ def test_commutative_up_to_pair_swap(kind, g, h):
         e1, e2 = p2.encode(b, a), p2.encode(d, c)
         swapped.add((e1, e2) if e1 < e2 else (e2, e1))
     assert frozenset(swapped) == p2.base.edges
+
+
+LIBRARY_GRAPHS = st.one_of(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda e: e[0] != e[1]))
+    .map(lambda pairs: Graph.from_edges(7, pairs)),
+    st.integers(3, 9).map(cycle),
+    st.integers(1, 9).map(path),
+    st.integers(0, 9).map(empty_graph),
+    st.tuples(st.integers(1, 5), st.integers(1, 5)).map(lambda ab: complete_bipartite(*ab)),
+    st.integers(1, 5).map(lambda a: complete_minus_matching(2 * a)),
+    st.builds(product, st.sampled_from(PRODUCT_KINDS), FACTORS, FACTORS).map(lambda p: p.base),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(LIBRARY_GRAPHS, st.booleans())
+def test_library_built_graphs_pass_the_row_check(g, reparse):
+    # the library's builders skip the check the public constructor makes
+    if reparse:
+        g = parse_edge_list(format_edge_list(g))
+    assert Graph(g.n, g.adjacency) == g
 
 
 def test_empty_factor_gives_empty_product():
