@@ -345,10 +345,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser main() builds on its first call and reuses after that.  argparse
+# looks up sys.stdout, sys.stderr and the terminal width when it prints, so a
+# reused parser writes what a new one would.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

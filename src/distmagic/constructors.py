@@ -16,10 +16,11 @@ the row-major product encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InputError
 from .graphs import Graph, check_size, regularity
-from .magic import Labeling, verify_balanced
+from .magic import Labeling, _check_bijection, verify_balanced
 
 # classifier verdicts for products of cycles
 BALANCED_DISTANCE_MAGIC = "balanced_distance_magic"
@@ -108,7 +109,13 @@ label_lexicographic = label_direct
 
 @dataclass(frozen=True)
 class GridLabeling:
-    """Labels of the m x n grid view of the direct product of two cycles."""
+    """Labels of the m x n grid view of the direct product of two cycles.
+
+    `GridLabeling(rows, cols, entries)` checks the shape and that the entries
+    are a bijection onto 1..rows*cols, with the same check as a labeling
+    (`magic._check_bijection`).  `label_cycle_product` builds a bijection by
+    construction and skips that check through `GridLabeling._of_entries`.
+    """
 
     rows: int
     cols: int
@@ -118,13 +125,21 @@ class GridLabeling:
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise InputError("grid shape does not match rows x cols")
         total = self.rows * self.cols
-        flat = [x for row in self.entries for x in row]
-        if sorted(flat) != list(range(1, total + 1)):
-            raise InputError(f"grid entries are not a bijection onto 1..{total}")
+        _check_bijection(total, self.to_labeling(),
+                         f"grid entries are not a bijection onto 1..{total}")
+
+    @classmethod
+    def _of_entries(cls, rows: int, cols: int, entries) -> "GridLabeling":
+        """A grid whose builder guarantees shape and bijection; no check."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "rows", rows)
+        object.__setattr__(grid, "cols", cols)
+        object.__setattr__(grid, "entries", entries)
+        return grid
 
     def to_labeling(self) -> Labeling:
         """Flatten under vertex id = i * cols + j."""
-        return Labeling(tuple(x for row in self.entries for x in row))
+        return Labeling(tuple(chain.from_iterable(self.entries)))
 
 
 def label_cycle_product(m: int, n: int) -> GridLabeling:
@@ -135,7 +150,9 @@ def label_cycle_product(m: int, n: int) -> GridLabeling:
     reversed column order, then the remaining even rows recursively, then the
     odd rows, and finally every odd column from its even neighbor column.
     Labels above mn/2 shift down where labels at most mn/2 shift up, so each
-    stage consumes one low and one high block of the label range.
+    stage consumes one low and one high block of the label range.  Every
+    label of 1..mn is written once, so the grid is trusted by construction
+    and not checked again.
     """
     if m % 4 or n % 4:
         raise InputError(f"both cycle lengths must be divisible by 4, got m={m} n={n}")
@@ -177,7 +194,7 @@ def label_cycle_product(m: int, n: int) -> GridLabeling:
         for j in range(1, n, 2):
             grid[i][j] = shifted(grid[i][j - 1], total // 4)
 
-    return GridLabeling(m, n, tuple(tuple(row) for row in grid))
+    return GridLabeling._of_entries(m, n, tuple(map(tuple, grid)))
 
 
 def cycle_product_magic_constant(m: int, n: int) -> int:
@@ -246,7 +263,7 @@ def _check_cycle_length(x: int):
 def format_grid(grid: GridLabeling, k: int) -> str:
     lines = [f"{grid.rows} {grid.cols} {k}"]
     for i in range(grid.rows - 1, -1, -1):
-        lines.append(" ".join(str(x) for x in grid.entries[i]))
+        lines.append(" ".join([str(x) for x in grid.entries[i]]))
     return "\n".join(lines) + "\n"
 
 
@@ -273,7 +290,7 @@ def parse_grid(text: str) -> tuple[GridLabeling, int]:
         if len(parts) != n:
             raise InputError(f"line {idx + 2}: expected {n} entries, got {len(parts)}")
         try:
-            rows[i] = tuple(int(x) for x in parts)
+            rows[i] = tuple(map(int, parts))
         except ValueError:
             raise InputError(f"line {idx + 2}: grid entries must be integers, got {line!r}")
     return GridLabeling(m, n, tuple(rows)), k

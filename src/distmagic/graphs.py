@@ -15,7 +15,7 @@ exhausted memory.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -263,7 +263,17 @@ def _check_no_repeat(lines: list[str], stop: int):
 
 
 def format_edge_list(g: Graph) -> str:
-    """Serialize in the same format, edges sorted lexicographically."""
-    out = [f"{g.n} {g.edge_count}"]
-    out.extend(f"{u} {v}" for u, row in enumerate(g.adjacency) for v in row if u < v)
-    return "\n".join(out) + "\n"
+    """Serialize in the same format, edges sorted lexicographically.
+
+    Row u contributes the lines "u v" for its neighbors v > u, written by one
+    join over the tail of the row past u.  The tail is converted by a list
+    comprehension, not map(str, ...): on CPython 3.11 the interpreter's
+    specialized str(x) call makes it the faster of the two.
+    """
+    out = [f"{g.n} {g.edge_count}\n"]
+    for u, row in enumerate(g.adjacency):
+        higher = row[bisect_right(row, u):]
+        if higher:
+            prefix = f"{u} "
+            out.append(prefix + f"\n{prefix}".join([str(v) for v in higher]) + "\n")
+    return "".join(out)

@@ -34,20 +34,25 @@ class Labeling:
         return len(self.values)
 
 
-def _check_bijection(n: int, labeling: Labeling):
-    """Reject anything that is not a bijection onto {1..n}."""
+def _check_bijection(n: int, labeling: Labeling, what: str = "labeling is not a bijection"):
+    """Reject anything that is not a bijection onto {1..n}.
+
+    n distinct values inside 1..n are a bijection, so a valid labeling costs
+    one set and two scans; the duplicate, missing and out-of-range labels are
+    listed after `what` only when that test fails.
+    """
     vals = labeling.values
     if len(vals) != n:
         raise InputError(f"labeling has {len(vals)} entries for a graph on {n} vertices")
-    seen = set()
-    duplicates = set()
-    for x in vals:
-        if x in seen:
-            duplicates.add(x)
-        seen.add(x)
-    missing = sorted(set(range(1, n + 1)) - seen)
-    out_of_range = sorted({x for x in vals if not (1 <= x <= n)})
-    if duplicates or missing or out_of_range:
+    if n and (len(set(vals)) != n or min(vals) < 1 or max(vals) > n):
+        seen = set()
+        duplicates = set()
+        for x in vals:
+            if x in seen:
+                duplicates.add(x)
+            seen.add(x)
+        missing = sorted(set(range(1, n + 1)) - seen)
+        out_of_range = sorted({x for x in vals if not (1 <= x <= n)})
         parts = []
         if duplicates:
             parts.append(f"duplicate labels {sorted(duplicates)}")
@@ -55,7 +60,7 @@ def _check_bijection(n: int, labeling: Labeling):
             parts.append(f"missing labels {missing}")
         if out_of_range:
             parts.append(f"labels outside 1..{n}: {out_of_range}")
-        raise InputError("labeling is not a bijection: " + "; ".join(parts))
+        raise InputError(f"{what}: " + "; ".join(parts))
 
 
 def label_positions(labeling: Labeling) -> tuple[int, ...]:
@@ -249,7 +254,7 @@ def format_eit(schedule: EitSchedule) -> str:
 # ---------------------------------------------------------------------------
 
 def parse_labeling(text: str, n: int) -> Labeling:
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     if len(lines) != n:
         raise InputError(f"expected {n} labeling lines, got {len(lines)}")
     values = [0] * n

@@ -8,6 +8,7 @@ from distmagic.graphs import Graph, check_size
 from distmagic.magic import (
     MAX_DIAGNOSTICS,
     Diagnostic,
+    Labeling,
     VerifyReport,
     label_positions,
     verify_distance_magic,
@@ -207,3 +208,37 @@ def parse_edge_list_reference(text: str) -> Graph:
         rows[u].append(v)
         rows[v].append(u)
     return Graph(n, tuple([tuple(sorted(row)) for row in rows]))
+
+
+def check_bijection_reference(n: int, labeling: Labeling):
+    """The bijection check that always lists the duplicate, missing and
+    out-of-range labels; the oracle for magic._check_bijection's verdicts
+    and messages."""
+    vals = labeling.values
+    if len(vals) != n:
+        raise InputError(f"labeling has {len(vals)} entries for a graph on {n} vertices")
+    seen = set()
+    duplicates = set()
+    for x in vals:
+        if x in seen:
+            duplicates.add(x)
+        seen.add(x)
+    missing = sorted(set(range(1, n + 1)) - seen)
+    out_of_range = sorted({x for x in vals if not (1 <= x <= n)})
+    if duplicates or missing or out_of_range:
+        parts = []
+        if duplicates:
+            parts.append(f"duplicate labels {sorted(duplicates)}")
+        if missing:
+            parts.append(f"missing labels {missing}")
+        if out_of_range:
+            parts.append(f"labels outside 1..{n}: {out_of_range}")
+        raise InputError("labeling is not a bijection: " + "; ".join(parts))
+
+
+def format_edge_list_reference(g: Graph) -> str:
+    """The edge-list writer with one f-string per edge; the oracle for
+    format_edge_list's bytes."""
+    out = [f"{g.n} {g.edge_count}"]
+    out.extend(f"{u} {v}" for u, row in enumerate(g.adjacency) for v in row if u < v)
+    return "\n".join(out) + "\n"

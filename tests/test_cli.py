@@ -1,10 +1,12 @@
 import pytest
 
+from distmagic import cli
 from distmagic.cli import main
 from distmagic.constructors import label_direct, label_c4
 from distmagic.graphs import cycle, parse_edge_list
 from distmagic.magic import parse_labeling, verify_balanced
 from distmagic.products import product
+from test_cli_golden import CONSTRUCT_GOLDEN, PRODUCT_GOLDEN
 
 
 def run(capsys, *argv):
@@ -269,18 +271,25 @@ TOO_LARGE = [
     + [["search", "--graph", spec] for spec in BAD_SPECS]
     + TOO_LARGE
     + [["search", "--graph", "cycle:4", "--budget", budget] for budget in ("0", "-3")]
-    + [["verify", "--grid", grid] for grid in ("2x4.grid", "4x1.grid")],  # cycle lengths below 3
+    + [["verify", "--grid", grid] for grid in ("2x4.grid", "4x1.grid")]  # cycle lengths below 3
+    + [["verify", "--grid", "repeat.grid"]],  # label 8 twice, 9 missing
 )
 def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "huge.edges").write_text("1000000000 0\n")
     (tmp_path / "2x4.grid").write_text("2 4 18\n5 6 7 8\n1 2 3 4\n")
     (tmp_path / "4x1.grid").write_text("4 1 10\n4\n3\n2\n1\n")
+    (tmp_path / "repeat.grid").write_text("3 3 20\n7 8 8\n4 5 6\n1 2 3\n")
     status, _, err = run(capsys, *argv)
     assert status == 2
-    if argv[-1].endswith(".grid"):
+    if argv[-1] in ("2x4.grid", "4x1.grid"):
         # the direct product of cycles needs both lengths >= 3
         assert "line 1: grid dimensions must be cycle lengths >= 3, got m=" in err
+    if argv[-1] == "repeat.grid":
+        assert err == (
+            "error: grid entries are not a bijection onto 1..9: "
+            "duplicate labels [8]; missing labels [9]\n"
+        )
     if argv[-1] in BAD_SPECS:
         # the message names the spec it rejects
         assert repr(argv[-1]) in err
@@ -318,3 +327,46 @@ def test_constructor_roundtrips_through_files(tmp_path, capsys, kind, n, spec):
         capsys, "verify", "--graph", spec, "--labeling", str(lab_file), "--require", "balanced"
     )
     assert status == 0 and "is_balanced=true" in out
+
+
+def test_main_reuses_one_parser(tmp_path, monkeypatch, capsys):
+    # an argparse error and a help request go through the parser main() keeps
+    # before the golden commands do; every command must print and return what
+    # it does through a newly built parser
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "repeat.grid").write_text("3 3 20\n7 8 8\n4 5 6\n1 2 3\n")
+    commands = (
+        [["nonesuch"], ["verify", "--help"]]
+        + [["construct", "--kind", kind, "--g", g, "--h", h] for kind, g, h, _ in CONSTRUCT_GOLDEN]
+        + [["product", "--kind", kind, "cycle:3", h] for kind, h, _ in PRODUCT_GOLDEN]
+        + [
+            ["construct", "--kind", "c4", "--out", "c4.lab"],
+            ["verify", "--graph", "cycle:4", "--labeling", "c4.lab", "--format", "text"],
+            ["construct", "--kind", "cycle-product", "--m", "8", "--n", "12", "--out", "g.grid"],
+            ["verify", "--grid", "g.grid"],
+            ["verify", "--grid", "repeat.grid"],
+            ["search", "--graph", "cycle:two"],
+        ]
+    )
+    main(["classify", "cycle", "4"])
+    capsys.readouterr()
+    shared = cli._PARSER
+    results = []
+    for argv in commands:
+        reused = run(capsys, *argv)
+        with monkeypatch.context() as fresh_parser:
+            fresh_parser.setattr(cli, "_PARSER", None)
+            assert run(capsys, *argv) == reused
+        assert cli._PARSER is shared
+        results.append(reused)
+    assert results[0][0] == 2 and "invalid choice: 'nonesuch'" in results[0][2]
+    assert results[1][0] == 0 and results[1][1].startswith("usage: distmagic verify")
+    # help is laid out for the terminal width at the time it is printed
+    help_at = {}
+    for columns in ("50", "150"):
+        monkeypatch.setenv("COLUMNS", columns)
+        help_at[columns] = run(capsys, "verify", "--help")
+        with monkeypatch.context() as fresh_parser:
+            fresh_parser.setattr(cli, "_PARSER", None)
+            assert run(capsys, "verify", "--help") == help_at[columns]
+    assert help_at["50"] != help_at["150"]

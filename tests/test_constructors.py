@@ -216,6 +216,14 @@ def test_grid_rejects_non_bijection():
         GridLabeling(2, 2, ((1, 2), (3, 3)))
 
 
+def test_cycle_product_grids_pass_the_public_check():
+    # label_cycle_product skips the check GridLabeling(rows, cols, entries) makes
+    for m in range(8, 33, 4):
+        for n in range(8, 33, 4):
+            grid = label_cycle_product(m, n)
+            assert GridLabeling(m, n, grid.entries) == grid
+
+
 @pytest.mark.parametrize(
     "m,n,verdict",
     [

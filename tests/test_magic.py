@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_magic_labelings, regular_magic_constant, verify_balanced_reference
+from conftest import (
+    check_bijection_reference,
+    enumerate_magic_labelings,
+    regular_magic_constant,
+    verify_balanced_reference,
+)
 from distmagic.constructors import (
     label_c4,
     label_complete_bipartite,
@@ -25,6 +30,7 @@ from distmagic.graphs import (
 from distmagic.magic import (
     MAX_DIAGNOSTICS,
     Labeling,
+    _check_bijection,
     eit_schedule,
     format_labeling,
     parse_labeling,
@@ -182,6 +188,38 @@ def test_bijection_violations_are_listed():
         verify_distance_magic(cycle(4), Labeling((1, 2, 2, 3)))
     with pytest.raises(InputError, match="entries"):
         verify_distance_magic(cycle(4), Labeling((1, 2, 3)))
+
+
+def _bijection_verdict(check, n, values):
+    """None when check accepts values as a labeling of n vertices, else its message."""
+    try:
+        check(n, Labeling(values))
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+# per n: permutations, n values drawn around 1..n (duplicates, 0, negatives,
+# labels above n), and value tuples of any length up to n + 2, empty included
+LABEL_VALUES = st.integers(0, 9).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.one_of(
+            st.permutations(range(1, n + 1)).map(tuple),
+            st.lists(st.integers(-2, n + 2), min_size=n, max_size=n).map(tuple),
+            st.lists(st.integers(-2, n + 2), max_size=n + 2).map(tuple),
+        ),
+    )
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(LABEL_VALUES)
+def test_bijection_check_matches_reference(case):
+    n, values = case
+    assert _bijection_verdict(_check_bijection, n, values) == _bijection_verdict(
+        check_bijection_reference, n, values
+    )
 
 
 @st.composite

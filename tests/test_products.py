@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_bipartite, is_connected
+from conftest import format_edge_list_reference, is_bipartite, is_connected
 from distmagic.errors import InputError
 from distmagic.graphs import (
     Graph,
@@ -146,6 +146,23 @@ def test_library_built_graphs_pass_the_row_check(g, reparse):
     if reparse:
         g = parse_edge_list(format_edge_list(g))
     assert Graph(g.n, g.adjacency) == g
+
+
+@st.composite
+def random_graphs(draw, max_n=14):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(
+    st.builds(product, st.sampled_from(PRODUCT_KINDS), FACTORS, FACTORS).map(lambda p: p.base),
+    random_graphs(),
+))
+def test_edge_list_bytes_match_reference(g):
+    assert format_edge_list(g) == format_edge_list_reference(g)
 
 
 def test_empty_factor_gives_empty_product():
