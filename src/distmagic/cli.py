@@ -87,11 +87,20 @@ def parse_graph_spec(spec: str) -> Graph:
 
 
 def _read(path_arg: str) -> str:
+    """The ASCII text of a file.  Every reader splits it with splitlines(),
+    so newlines need no translation."""
     try:
-        with open(path_arg, "r", encoding="ascii") as fh:
-            return fh.read()
+        with open(path_arg, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path_arg!r}: {exc}")
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot read {path_arg!r}: byte 0x{data[exc.start]:02x} at offset {exc.start} "
+            "is not ASCII"
+        )
 
 
 def _emit(text: str, out: str | None):
@@ -163,7 +172,8 @@ def cmd_verify(args) -> int:
             raise InputError("verify needs --graph and --labeling, or --grid")
         g = parse_graph_spec(args.graph)
         labeling = magic.parse_labeling(_read(args.labeling), g.n)
-    report = magic.verify_balanced(g, labeling)
+    # the labeling's bijection was checked where it was read
+    report = magic._verify_balanced(g, labeling)
     render = magic.report_text if args.format == "text" else magic.report_kv
     _emit(render(report), args.out)
     ok = report.is_balanced if args.require == "balanced" else report.is_distance_magic

@@ -101,6 +101,11 @@ class VerifyReport:
 def verify_distance_magic(g: Graph, labeling: Labeling) -> VerifyReport:
     """Check the uniform-weight condition and report per-vertex weights."""
     _check_bijection(g.n, labeling)
+    return _verify_distance_magic(g, labeling)
+
+
+def _verify_distance_magic(g: Graph, labeling: Labeling) -> VerifyReport:
+    """verify_distance_magic of a labeling already checked to be a bijection."""
     w = weights(g, labeling)
     uniform = len(set(w)) <= 1
     k = (w[0] if g.n else 0) if uniform else None
@@ -136,7 +141,13 @@ def verify_balanced(g: Graph, labeling: Labeling) -> VerifyReport:
     that stops once MAX_DIAGNOSTICS are filled, with membership in N(t(u))
     tested by bisection.
     """
-    base = verify_distance_magic(g, labeling)
+    _check_bijection(g.n, labeling)
+    return _verify_balanced(g, labeling)
+
+
+def _verify_balanced(g: Graph, labeling: Labeling) -> VerifyReport:
+    """verify_balanced of a labeling already checked to be a bijection."""
+    base = _verify_distance_magic(g, labeling)
     n = g.n
     failures = list(base.failures)
     count = base.failure_count

@@ -13,6 +13,7 @@ from distmagic.magic import (
     label_positions,
     verify_distance_magic,
 )
+from distmagic.products import DIRECT, CARTESIAN
 
 
 def brute_force_distance_magic(g: Graph):
@@ -242,3 +243,27 @@ def format_edge_list_reference(g: Graph) -> str:
     out = [f"{g.n} {g.edge_count}"]
     out.extend(f"{u} {v}" for u, row in enumerate(g.adjacency) for v in row if u < v)
     return "\n".join(out) + "\n"
+
+
+def product_reference(kind: str, g: Graph, h: Graph) -> Graph:
+    """The product whose rows compute every entry as x * |V(H)| + y, built
+    through the checked Graph(n, rows); the oracle for products.product's
+    gathered rows."""
+    hn = h.n
+    rows = []
+    for a, xs in enumerate(g.adjacency):
+        if kind == DIRECT:
+            offsets = [x * hn for x in xs]
+            rows.extend([tuple([o + y for o in offsets for y in ys]) for ys in h.adjacency])
+            continue
+        low = [x * hn for x in xs if x < a]
+        high = [x * hn for x in xs if x > a]
+        own = a * hn
+        if kind == CARTESIAN:
+            rows.extend([tuple([o + b for o in low] + [own + y for y in ys] + [o + b for o in high])
+                         for b, ys in enumerate(h.adjacency)])
+        else:
+            below = tuple([o + y for o in low for y in range(hn)])
+            above = tuple([o + y for o in high for y in range(hn)])
+            rows.extend([below + tuple([own + y for y in ys]) + above for ys in h.adjacency])
+    return Graph(g.n * hn, tuple(rows))

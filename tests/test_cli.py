@@ -1,6 +1,6 @@
 import pytest
 
-from distmagic import cli
+from distmagic import cli, constructors, magic
 from distmagic.cli import main
 from distmagic.constructors import label_direct, label_c4
 from distmagic.graphs import cycle, parse_edge_list
@@ -272,7 +272,8 @@ TOO_LARGE = [
     + TOO_LARGE
     + [["search", "--graph", "cycle:4", "--budget", budget] for budget in ("0", "-3")]
     + [["verify", "--grid", grid] for grid in ("2x4.grid", "4x1.grid")]  # cycle lengths below 3
-    + [["verify", "--grid", "repeat.grid"]],  # label 8 twice, 9 missing
+    + [["verify", "--grid", "repeat.grid"]]  # label 8 twice, 9 missing
+    + [["product", "--kind", "direct", "accent.edges", "cycle:3"]],  # UTF-8 bytes in a line
 )
 def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -280,8 +281,11 @@ def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "2x4.grid").write_text("2 4 18\n5 6 7 8\n1 2 3 4\n")
     (tmp_path / "4x1.grid").write_text("4 1 10\n4\n3\n2\n1\n")
     (tmp_path / "repeat.grid").write_text("3 3 20\n7 8 8\n4 5 6\n1 2 3\n")
+    (tmp_path / "accent.edges").write_bytes(b"2 1\n0 1\xc3\xa9\n")
     status, _, err = run(capsys, *argv)
     assert status == 2
+    if "accent.edges" in argv:
+        assert err == "error: cannot read 'accent.edges': byte 0xc3 at offset 7 is not ASCII\n"
     if argv[-1] in ("2x4.grid", "4x1.grid"):
         # the direct product of cycles needs both lengths >= 3
         assert "line 1: grid dimensions must be cycle lengths >= 3, got m=" in err
@@ -370,3 +374,28 @@ def test_main_reuses_one_parser(tmp_path, monkeypatch, capsys):
             fresh_parser.setattr(cli, "_PARSER", None)
             assert run(capsys, "verify", "--help") == help_at[columns]
     assert help_at["50"] != help_at["150"]
+
+
+@pytest.mark.parametrize("source", ["grid", "labeling"])
+def test_verify_checks_the_bijection_once(tmp_path, monkeypatch, capsys, source):
+    # the labeling is checked where it is read, and verify does not check it again
+    monkeypatch.chdir(tmp_path)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return check(*args)
+
+    check = magic._check_bijection
+    monkeypatch.setattr(magic, "_check_bijection", counted)
+    monkeypatch.setattr(constructors, "_check_bijection", counted)
+    if source == "grid":
+        (tmp_path / "g.grid").write_text(
+            constructors.format_grid(constructors.label_cycle_product(8, 12), 194))
+        argv = ["verify", "--grid", "g.grid"]
+    else:
+        (tmp_path / "c4.lab").write_text("0 1\n1 2\n2 4\n3 3\n")
+        argv = ["verify", "--graph", "cycle:4", "--labeling", "c4.lab", "--require", "balanced"]
+    status, out, _ = run(capsys, *argv)
+    assert status == 0 and "is_distance_magic=true" in out
+    assert calls == [96 if source == "grid" else 4]

@@ -70,6 +70,14 @@ def test_cycle_invariants(n):
     assert regularity(g) == 2
 
 
+@pytest.mark.parametrize("order", range(2, 15, 2))
+def test_complete_minus_matching_edge_set(order):
+    # its rows are sliced from one table of ids; from_edges builds them from
+    # the defining edges
+    pairs = [(u, v) for u in range(order) for v in range(u + 1, order) if u // 2 != v // 2]
+    assert complete_minus_matching(order) == Graph.from_edges(order, pairs)
+
+
 @pytest.mark.parametrize("a", range(1, 6))
 def test_balanced_bipartite_invariants(a):
     g = complete_bipartite(a, a)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import format_edge_list_reference, is_bipartite, is_connected
+from conftest import format_edge_list_reference, is_bipartite, is_connected, product_reference
 from distmagic.errors import InputError
 from distmagic.graphs import (
     Graph,
@@ -163,6 +163,66 @@ def random_graphs(draw, max_n=14):
 ))
 def test_edge_list_bytes_match_reference(g):
     assert format_edge_list(g) == format_edge_list_reference(g)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(PRODUCT_KINDS), st.one_of(FACTORS, random_graphs(8)),
+       st.one_of(FACTORS, random_graphs(8)))
+def test_gathered_rows_match_reference(kind, g, h):
+    # random factors carry vertices of degree 0 and 1, whose rows the
+    # product gathers by their own functions
+    assert product(kind, g, h).base == product_reference(kind, g, h)
+
+
+def shares_vertex_ids(g):
+    """Every row entry of vertex id v is one object.  CPython caches the ints
+    up to 256, so only graphs on more than 257 vertices can fail this."""
+    return len({id(x) for row in g.adjacency for x in row}) <= g.n
+
+
+@st.composite
+def sparse_graphs(draw, min_n, max_n):
+    """Random graphs with about one edge per vertex: most vertices have
+    degree 0, 1 or 2."""
+    n = draw(st.integers(min_n, max_n))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=n))
+    return Graph.from_edges(n, pairs)
+
+
+@st.composite
+def circulants(draw):
+    """from_edges of pairs computed as callers compute them, each end a
+    new int object: vertex i joined to i + s mod n for each step s."""
+    n = draw(st.integers(258, 600))
+    steps = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=3))
+    return Graph.from_edges(n, [(i, (i + s) % n) for s in steps for i in range(n)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(
+    circulants(),
+    sparse_graphs(258, 600),
+    st.integers(258, 600).map(cycle),
+    st.integers(258, 600).map(path),
+    st.integers(258, 600).map(empty_graph),
+    st.tuples(st.integers(1, 5), st.integers(258, 300)).map(lambda ab: complete_bipartite(*ab)),
+    st.integers(129, 160).map(lambda a: complete_minus_matching(2 * a)),
+), st.booleans())
+def test_library_built_graphs_hold_one_int_per_vertex(g, reparse):
+    if reparse:
+        g = parse_edge_list(format_edge_list(g))
+    assert shares_vertex_ids(g)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(PRODUCT_KINDS),
+       st.one_of(st.integers(258, 300).map(cycle), sparse_graphs(258, 300)), FACTORS, st.booleans())
+def test_products_hold_one_int_per_vertex(kind, g, h, reparse):
+    p = product(kind, g, h).base
+    if reparse:
+        p = parse_edge_list(format_edge_list(p))
+    assert shares_vertex_ids(p)
 
 
 def test_empty_factor_gives_empty_product():
