@@ -131,12 +131,12 @@ def cmd_construct(args) -> int:
     if kind == "cycle-product":
         if args.m is None or args.n is None:
             raise InputError("cycle-product needs --m and --n")
-        grid = constructors.label_cycle_product(args.m, args.n)
+        labeling = constructors.label_cycle_product(args.m, args.n)
         k = constructors.cycle_product_magic_constant(args.m, args.n)
         if args.format == "list":
-            _emit(magic.format_labeling(grid.to_labeling()), args.out)
+            _emit(magic.format_labeling(labeling), args.out)
         else:
-            _emit(constructors.format_grid(grid, k), args.out)
+            _emit(constructors.format_grid(labeling, args.m, args.n, k), args.out)
         return 0
     if args.format == "grid":
         raise InputError("grid output applies to --kind cycle-product only")
@@ -164,16 +164,14 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.grid is not None:
-        grid, _ = constructors.parse_grid(_read(args.grid))
-        g = product(DIRECT, cycle(grid.rows), cycle(grid.cols)).base
-        labeling = grid.to_labeling()
+        labeling, m, n, _ = constructors.parse_grid(_read(args.grid))
+        g = product(DIRECT, cycle(m), cycle(n)).base
     else:
         if args.graph is None or args.labeling is None:
             raise InputError("verify needs --graph and --labeling, or --grid")
         g = parse_graph_spec(args.graph)
         labeling = magic.parse_labeling(_read(args.labeling), g.n)
-    # the labeling's bijection was checked where it was read
-    report = magic._verify_balanced(g, labeling)
+    report = magic.verify_balanced(g, labeling)
     render = magic.report_text if args.format == "text" else magic.report_kv
     _emit(render(report), args.out)
     ok = report.is_balanced if args.require == "balanced" else report.is_distance_magic
@@ -271,8 +269,9 @@ def cmd_eit(args) -> int:
 
 
 def cmd_table16(args) -> int:
-    grid = constructors.label_cycle_product(16, 16)
-    _emit(constructors.format_grid(grid, constructors.cycle_product_magic_constant(16, 16)), args.out)
+    labeling = constructors.label_cycle_product(16, 16)
+    k = constructors.cycle_product_magic_constant(16, 16)
+    _emit(constructors.format_grid(labeling, 16, 16, k), args.out)
     return 0
 
 

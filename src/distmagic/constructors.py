@@ -8,14 +8,14 @@ m, n > 4 with magic constant 2mn + 2.
 
 Grid indexing: the direct product of C_m and C_n is viewed as an m x n grid
 of cells v[i][j] (row i along C_m, column j along C_n), where the neighbors
-of v[i][j] are the four diagonal cells v[i+-1][j+-1] with wraparound.  The
-grid converts to a flat labeling under vertex id = i * n + j, which matches
-the row-major product encoding.
+of v[i][j] are the four diagonal cells v[i+-1][j+-1] with wraparound.  A
+grid is no type of its own: it is the row-major Labeling of the product,
+cell v[i][j] being vertex id = i * n + j, and the grid text format takes the
+sides m and n next to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import InputError
@@ -107,42 +107,7 @@ label_lexicographic = label_direct
 # Grid labelings for products of two cycles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridLabeling:
-    """Labels of the m x n grid view of the direct product of two cycles.
-
-    `GridLabeling(rows, cols, entries)` checks the shape and that the entries
-    are a bijection onto 1..rows*cols, with the same check as a labeling
-    (`magic._check_bijection`).  `label_cycle_product` builds a bijection by
-    construction and skips that check through `GridLabeling._of_entries`.
-    """
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise InputError("grid shape does not match rows x cols")
-        total = self.rows * self.cols
-        _check_bijection(total, self.to_labeling(),
-                         f"grid entries are not a bijection onto 1..{total}")
-
-    @classmethod
-    def _of_entries(cls, rows: int, cols: int, entries) -> "GridLabeling":
-        """A grid whose builder guarantees shape and bijection; no check."""
-        grid = object.__new__(cls)
-        object.__setattr__(grid, "rows", rows)
-        object.__setattr__(grid, "cols", cols)
-        object.__setattr__(grid, "entries", entries)
-        return grid
-
-    def to_labeling(self) -> Labeling:
-        """Flatten under vertex id = i * cols + j."""
-        return Labeling(tuple(chain.from_iterable(self.entries)))
-
-
-def label_cycle_product(m: int, n: int) -> GridLabeling:
+def label_cycle_product(m: int, n: int) -> Labeling:
     """Distance magic (never balanced) labeling of the direct product of C_m
     and C_n for m, n = 0 mod 4 and m, n > 4, with magic constant 2mn + 2.
 
@@ -151,8 +116,8 @@ def label_cycle_product(m: int, n: int) -> GridLabeling:
     odd rows, and finally every odd column from its even neighbor column.
     Labels above mn/2 shift down where labels at most mn/2 shift up, so each
     stage consumes one low and one high block of the label range.  Every
-    label of 1..mn is written once, so the grid is trusted by construction
-    and not checked again.
+    label of 1..mn is written once, so the labeling is a bijection by
+    construction and is not checked again.
     """
     if m % 4 or n % 4:
         raise InputError(f"both cycle lengths must be divisible by 4, got m={m} n={n}")
@@ -194,7 +159,7 @@ def label_cycle_product(m: int, n: int) -> GridLabeling:
         for j in range(1, n, 2):
             grid[i][j] = shifted(grid[i][j - 1], total // 4)
 
-    return GridLabeling._of_entries(m, n, tuple(map(tuple, grid)))
+    return Labeling._of_values(tuple(chain.from_iterable(grid)))
 
 
 def cycle_product_magic_constant(m: int, n: int) -> int:
@@ -260,14 +225,19 @@ def _check_cycle_length(x: int):
 # row 0, so the page shows v[0][0] in the lower left corner.
 # ---------------------------------------------------------------------------
 
-def format_grid(grid: GridLabeling, k: int) -> str:
-    lines = [f"{grid.rows} {grid.cols} {k}"]
-    for i in range(grid.rows - 1, -1, -1):
-        lines.append(" ".join([str(x) for x in grid.entries[i]]))
+def format_grid(labeling: Labeling, m: int, n: int, k: int) -> str:
+    """The grid text of the row-major labeling of an m x n grid."""
+    vals = labeling.values
+    lines = [f"{m} {n} {k}"]
+    for i in range(m - 1, -1, -1):
+        lines.append(" ".join([str(x) for x in vals[i * n : (i + 1) * n]]))
     return "\n".join(lines) + "\n"
 
 
-def parse_grid(text: str) -> tuple[GridLabeling, int]:
+def parse_grid(text: str) -> tuple[Labeling, int, int, int]:
+    """(row-major labeling, m, n, k) of a grid text.  The sizes are checked
+    from the header, before any row is read, and the entries once, as a
+    bijection onto 1..m*n."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise InputError("line 1: missing grid header 'm n k'")
@@ -280,17 +250,24 @@ def parse_grid(text: str) -> tuple[GridLabeling, int]:
         raise InputError(f"line 1: grid header must be three integers, got {lines[0]!r}")
     if m < 3 or n < 3:
         raise InputError(f"line 1: grid dimensions must be cycle lengths >= 3, got m={m} n={n}")
+    total = m * n
+    try:
+        check_size(total)
+    except InputError as exc:
+        raise InputError(f"line 1: {exc}")
     body = lines[1:]
     if len(body) != m:
         raise InputError(f"expected {m} grid rows after the header, got {len(body)}")
-    rows = [()] * m
+    values = [0] * total
     for idx, line in enumerate(body):
         i = m - 1 - idx  # rows are printed top-down, row 0 last
         parts = line.split()
         if len(parts) != n:
             raise InputError(f"line {idx + 2}: expected {n} entries, got {len(parts)}")
         try:
-            rows[i] = tuple(map(int, parts))
+            values[i * n : (i + 1) * n] = map(int, parts)
         except ValueError:
             raise InputError(f"line {idx + 2}: grid entries must be integers, got {line!r}")
-    return GridLabeling(m, n, tuple(rows)), k
+    values = tuple(values)
+    _check_bijection(values, f"grid entries are not a bijection onto 1..{total}")
+    return Labeling._of_values(values), m, n, k

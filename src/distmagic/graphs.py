@@ -222,7 +222,10 @@ def parse_edge_list(text: str) -> Graph:
         raise InputError(f"line 1: header must be two integers, got {lines[0]!r}")
     if n < 0 or m < 0:
         raise InputError(f"line 1: n and m must be nonnegative, got n={n} m={m}")
-    check_size(n, m)
+    try:
+        check_size(n, m)
+    except InputError as exc:
+        raise InputError(f"line 1: {exc}")
     if len(lines) - 1 != m:
         raise InputError(f"expected {m} edge lines after the header, got {len(lines) - 1}")
     ids = list(range(n))

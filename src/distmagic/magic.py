@@ -4,7 +4,8 @@ A labeling is a bijection from vertices onto {1..n}.  It is distance magic
 when every open-neighborhood label sum (the vertex weight) equals one constant
 k, and balanced when additionally the graph has even order and every
 neighborhood that contains the vertex labeled i also contains the vertex
-labeled n+1-i (its twin).
+labeled n+1-i (its twin).  A `Labeling` is a bijection by type, checked
+where it is made, so the verify functions check only its length.
 
 Edge case fixed here once and for all: a graph with no edges and even order is
 accepted as balanced distance magic with k = 0, and the report carries a
@@ -25,34 +26,47 @@ MAX_DIAGNOSTICS = 32
 
 @dataclass(frozen=True)
 class Labeling:
-    """values[v] is the label of vertex v; labels form a bijection onto {1..n}."""
+    """values[v] is the label of vertex v; labels form a bijection onto {1..n}.
+
+    `Labeling(values)` checks the bijection.  Builders whose output is one
+    by construction (`label_cycle_product`, `parse_grid` after its own
+    check, the lemma swaps and the scramble) skip it through `_of_values`.
+    """
 
     values: tuple[int, ...]
+
+    def __post_init__(self):
+        _check_bijection(self.values)
+
+    @classmethod
+    def _of_values(cls, values: tuple[int, ...]) -> "Labeling":
+        """A labeling whose builder guarantees a bijection; no check."""
+        labeling = object.__new__(cls)
+        object.__setattr__(labeling, "values", values)
+        return labeling
 
     @property
     def n(self) -> int:
         return len(self.values)
 
 
-def _check_bijection(n: int, labeling: Labeling, what: str = "labeling is not a bijection"):
-    """Reject anything that is not a bijection onto {1..n}.
+def _check_bijection(values, what: str = "labeling is not a bijection"):
+    """Reject values that are not a bijection onto {1..len(values)}.
 
     n distinct values inside 1..n are a bijection, so a valid labeling costs
     one set and two scans; the duplicate, missing and out-of-range labels are
     listed after `what` only when that test fails.
     """
-    vals = labeling.values
-    if len(vals) != n:
-        raise InputError(f"labeling has {len(vals)} entries for a graph on {n} vertices")
-    if n and (len(set(vals)) != n or min(vals) < 1 or max(vals) > n):
+    n = len(values)
+    if n and (len(set(values)) != n or min(values) < 1 or max(values) > n):
         seen = set()
         duplicates = set()
-        for x in vals:
+        for x in values:
             if x in seen:
                 duplicates.add(x)
             seen.add(x)
         missing = sorted(set(range(1, n + 1)) - seen)
-        out_of_range = sorted({x for x in vals if not (1 <= x <= n)})
+        out_of_range = sorted({x for x in values if not (1 <= x <= n)})
         parts = []
         if duplicates:
             parts.append(f"duplicate labels {sorted(duplicates)}")
@@ -100,12 +114,8 @@ class VerifyReport:
 
 def verify_distance_magic(g: Graph, labeling: Labeling) -> VerifyReport:
     """Check the uniform-weight condition and report per-vertex weights."""
-    _check_bijection(g.n, labeling)
-    return _verify_distance_magic(g, labeling)
-
-
-def _verify_distance_magic(g: Graph, labeling: Labeling) -> VerifyReport:
-    """verify_distance_magic of a labeling already checked to be a bijection."""
+    if labeling.n != g.n:
+        raise InputError(f"labeling has {labeling.n} entries for a graph on {g.n} vertices")
     w = weights(g, labeling)
     uniform = len(set(w)) <= 1
     k = (w[0] if g.n else 0) if uniform else None
@@ -134,20 +144,14 @@ def verify_balanced(g: Graph, labeling: Labeling) -> VerifyReport:
     (w, u) order are reported after the weight failures.  When balanced,
     twin_map[v] = t(v).
 
-    The rows are not checked again here: every Graph holds valid rows (see
-    Graph).  Time is O(n + |E| log D), D the largest degree, and extra
-    memory O(n): failing pairs are counted, never collected.  The
-    diagnostics come from a scan over w ascending and u in N(w) ascending
-    that stops once MAX_DIAGNOSTICS are filled, with membership in N(t(u))
-    tested by bisection.
+    The rows and the bijection are not checked again here: every Graph holds
+    valid rows and every Labeling a bijection.  Time is O(n + |E| log D), D
+    the largest degree, and extra memory O(n): failing pairs are counted,
+    never collected.  The diagnostics come from a scan over w ascending and
+    u in N(w) ascending that stops once MAX_DIAGNOSTICS are filled, with
+    membership in N(t(u)) tested by bisection.
     """
-    _check_bijection(g.n, labeling)
-    return _verify_balanced(g, labeling)
-
-
-def _verify_balanced(g: Graph, labeling: Labeling) -> VerifyReport:
-    """verify_balanced of a labeling already checked to be a bijection."""
-    base = _verify_distance_magic(g, labeling)
+    base = verify_distance_magic(g, labeling)
     n = g.n
     failures = list(base.failures)
     count = base.failure_count
@@ -284,9 +288,7 @@ def parse_labeling(text: str, n: int) -> Labeling:
             raise InputError(f"line {i}: vertex {v} labeled twice")
         seen_vertices.add(v)
         values[v] = lab
-    labeling = Labeling(tuple(values))
-    _check_bijection(n, labeling)
-    return labeling
+    return Labeling(tuple(values))
 
 
 def format_labeling(labeling: Labeling) -> str:

@@ -86,7 +86,7 @@ def _exchange(bl: BalancedProductLabeling, a: int, b: int) -> BalancedProductLab
     twins = list(old)
     for v in {a, b, s(old[a]), s(old[b])}:
         twins[v] = s(old[s(v)])
-    return BalancedProductLabeling(bl.product, Labeling(tuple(vals)), tuple(twins))
+    return BalancedProductLabeling(bl.product, Labeling._of_values(tuple(vals)), tuple(twins))
 
 
 def _require(condition, message):
@@ -373,7 +373,7 @@ def scramble_balanced(bl: BalancedProductLabeling, seed: int) -> BalancedProduct
             labels[i], labels[j] = labels[j], labels[i]
         for v, lab in zip(cls, labels):
             values[v] = lab
-    labeling = Labeling(tuple(values))
+    labeling = Labeling._of_values(tuple(values))
     pos = label_positions(labeling)
     n = len(values)
     return BalancedProductLabeling(bl.product, labeling, tuple(pos[n - x] for x in values))

@@ -8,7 +8,6 @@ from distmagic.graphs import Graph, check_size
 from distmagic.magic import (
     MAX_DIAGNOSTICS,
     Diagnostic,
-    Labeling,
     VerifyReport,
     label_positions,
     verify_distance_magic,
@@ -211,21 +210,20 @@ def parse_edge_list_reference(text: str) -> Graph:
     return Graph(n, tuple([tuple(sorted(row)) for row in rows]))
 
 
-def check_bijection_reference(n: int, labeling: Labeling):
+def check_bijection_reference(n: int, vals: tuple[int, ...]):
     """The bijection check that always lists the duplicate, missing and
-    out-of-range labels; the oracle for magic._check_bijection's verdicts
-    and messages."""
-    vals = labeling.values
-    if len(vals) != n:
-        raise InputError(f"labeling has {len(vals)} entries for a graph on {n} vertices")
+    out-of-range labels of vals, taken as a labeling onto 1..len(vals), and
+    then compares the length with n; the oracle for the verdicts and messages
+    of `Labeling(vals)` followed by a verify call on n vertices."""
+    size = len(vals)
     seen = set()
     duplicates = set()
     for x in vals:
         if x in seen:
             duplicates.add(x)
         seen.add(x)
-    missing = sorted(set(range(1, n + 1)) - seen)
-    out_of_range = sorted({x for x in vals if not (1 <= x <= n)})
+    missing = sorted(set(range(1, size + 1)) - seen)
+    out_of_range = sorted({x for x in vals if not (1 <= x <= size)})
     if duplicates or missing or out_of_range:
         parts = []
         if duplicates:
@@ -233,8 +231,10 @@ def check_bijection_reference(n: int, labeling: Labeling):
         if missing:
             parts.append(f"missing labels {missing}")
         if out_of_range:
-            parts.append(f"labels outside 1..{n}: {out_of_range}")
+            parts.append(f"labels outside 1..{size}: {out_of_range}")
         raise InputError("labeling is not a bijection: " + "; ".join(parts))
+    if size != n:
+        raise InputError(f"labeling has {size} entries for a graph on {n} vertices")
 
 
 def format_edge_list_reference(g: Graph) -> str:

@@ -88,8 +88,8 @@ def test_criterion_1_golden_table():
         )
         assert proc.returncode == 0
         assert proc.stdout == "16 16 514\n" + TABLE_16
-        grid = label_cycle_product(16, 16)
-        report = verify_balanced(product(DIRECT, cycle(16), cycle(16)).base, grid.to_labeling())
+        labeling = label_cycle_product(16, 16)
+        report = verify_balanced(product(DIRECT, cycle(16), cycle(16)).base, labeling)
         assert report.is_distance_magic and report.magic_constant == 2 * 256 + 2 == 514
 
 
@@ -97,9 +97,8 @@ def test_criterion_2_cycle_product_family():
     with criterion(2, "cycle-product-family", 5.0):
         for m in (8, 12, 16, 20):
             for n in (8, 12, 16, 20):
-                grid = label_cycle_product(m, n)
                 base = product(DIRECT, cycle(m), cycle(n)).base
-                report = verify_balanced(base, grid.to_labeling())
+                report = verify_balanced(base, label_cycle_product(m, n))
                 assert report.is_distance_magic
                 assert report.magic_constant == cycle_product_magic_constant(m, n) == 2 * m * n + 2
                 assert not report.is_balanced

@@ -252,6 +252,7 @@ TOO_LARGE = [
     ["product", "--kind", "direct", "cycle:2000", "cycle:2000"],
     ["search", "--graph", "huge.edges"],
     ["construct", "--kind", "cycle-product", "--m", "100000", "--n", "100000"],
+    ["verify", "--grid", "huge.grid"],
 ]
 
 
@@ -278,6 +279,7 @@ TOO_LARGE = [
 def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "huge.edges").write_text("1000000000 0\n")
+    (tmp_path / "huge.grid").write_text("2048 1024 0\n")
     (tmp_path / "2x4.grid").write_text("2 4 18\n5 6 7 8\n1 2 3 4\n")
     (tmp_path / "4x1.grid").write_text("4 1 10\n4\n3\n2\n1\n")
     (tmp_path / "repeat.grid").write_text("3 3 20\n7 8 8\n4 5 6\n1 2 3\n")
@@ -301,6 +303,9 @@ def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
         assert "cycle, path, empty, kbip, kminusm" in err
     if argv in TOO_LARGE:
         assert "exceed the limit of" in err
+    if argv[-1] in ("huge.edges", "huge.grid"):
+        # a file's sizes are rejected from its header
+        assert err.startswith("error: line 1: ")
     if "--budget" in argv:
         assert "budget must be positive" in err
 
@@ -376,26 +381,40 @@ def test_main_reuses_one_parser(tmp_path, monkeypatch, capsys):
     assert help_at["50"] != help_at["150"]
 
 
-@pytest.mark.parametrize("source", ["grid", "labeling"])
+C4_LAB = "0 1\n1 2\n2 4\n3 3\n"
+C8XC12_GRID = constructors.format_grid(constructors.label_cycle_product(8, 12), 8, 12, 194)
+C3XC4_LAB = magic.format_labeling(label_direct(cycle(3), cycle(4), label_c4()))
+# source -> (file name, its text, argv, lengths of the labelings checked)
+CHECKED_ONCE = {
+    "grid": ("g.grid", C8XC12_GRID, ["verify", "--grid", "g.grid"], [96]),
+    "labeling": ("c4.lab", C4_LAB,
+                 ["verify", "--graph", "cycle:4", "--labeling", "c4.lab", "--require", "balanced"],
+                 [4]),
+    "eit": ("c4.lab", C4_LAB, ["eit", "--graph", "cycle:4", "--labeling", "c4.lab"], [4]),
+    # the file's labeling once, then the factor labeling couple extracts from it
+    "couple": ("c3xc4.lab", C3XC4_LAB,
+               ["couple", "--kind", "direct", "--g", "cycle:3", "--h", "cycle:4",
+                "--labeling", "c3xc4.lab"], [12, 4]),
+}
+
+
+@pytest.mark.parametrize("source", CHECKED_ONCE)
 def test_verify_checks_the_bijection_once(tmp_path, monkeypatch, capsys, source):
-    # the labeling is checked where it is read, and verify does not check it again
+    # a labeling is checked where it is made, and no verify call checks it again
     monkeypatch.chdir(tmp_path)
+    name, text, argv, checked = CHECKED_ONCE[source]
+    (tmp_path / name).write_text(text)
     calls = []
 
-    def counted(*args):
-        calls.append(args[0])
-        return check(*args)
+    def counted(values, *args):
+        calls.append(len(values))
+        return check(values, *args)
 
     check = magic._check_bijection
     monkeypatch.setattr(magic, "_check_bijection", counted)
     monkeypatch.setattr(constructors, "_check_bijection", counted)
-    if source == "grid":
-        (tmp_path / "g.grid").write_text(
-            constructors.format_grid(constructors.label_cycle_product(8, 12), 194))
-        argv = ["verify", "--grid", "g.grid"]
-    else:
-        (tmp_path / "c4.lab").write_text("0 1\n1 2\n2 4\n3 3\n")
-        argv = ["verify", "--graph", "cycle:4", "--labeling", "c4.lab", "--require", "balanced"]
     status, out, _ = run(capsys, *argv)
-    assert status == 0 and "is_distance_magic=true" in out
-    assert calls == [96 if source == "grid" else 4]
+    assert status == 0
+    if argv[0] == "verify":
+        assert "is_distance_magic=true" in out
+    assert calls == checked

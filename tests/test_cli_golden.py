@@ -91,7 +91,7 @@ VERIFY_GOLDEN = [
      (1, 4, 11, 10, 14, 17, 6, 7, 3, 18, 15, 8, 9, 5, 2, 13, 12, 16),
      0, "45c921444aefbed1", "a9cf8df156ead4b9"),
     ("twin-only-c8xc8", ("direct", "cycle:8", "cycle:8"),
-     label_cycle_product(8, 8).to_labeling().values, 0, "1dec6a66f02dea39", "a7fc293c870cef1f"),
+     label_cycle_product(8, 8).values, 0, "1dec6a66f02dea39", "a7fc293c870cef1f"),
     ("both", "cycle:6", (1, 2, 3, 4, 5, 6), 1, "4d14b2f041d33f57", "f9a98b9ed4410746"),
     ("both-kminusm", "kminusm:6", _swapped(label_complete_minus_matching(3).values, 0, 2),
      1, "c6d829f20cb9381d", "f08426771f1d9195"),

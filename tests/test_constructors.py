@@ -5,7 +5,6 @@ from distmagic.constructors import (
     BALANCED_DISTANCE_MAGIC,
     DISTANCE_MAGIC_NOT_BALANCED,
     NOT_DISTANCE_MAGIC,
-    GridLabeling,
     classify_cycle,
     classify_cycle_cartesian,
     classify_cycle_direct,
@@ -138,19 +137,18 @@ def test_label_sum_identity(build, kind):
 
 
 def test_cycle_product_16_starting_row():
-    grid = label_cycle_product(16, 16)
-    assert grid.entries[0] == (1, 65, 255, 191, 3, 67, 253, 189, 4, 68, 254, 190, 2, 66, 256, 192)
-    assert grid.entries[0][0] == 1
-    assert grid.entries[0][4] == 3
-    assert grid.entries[0][8] == 4
-    assert grid.entries[0][12] == 2
+    row0 = label_cycle_product(16, 16).values[:16]
+    assert row0 == (1, 65, 255, 191, 3, 67, 253, 189, 4, 68, 254, 190, 2, 66, 256, 192)
+    assert row0[0] == 1
+    assert row0[4] == 3
+    assert row0[8] == 4
+    assert row0[12] == 2
 
 
 @pytest.mark.parametrize("m,n", [(8, 8), (8, 12), (12, 8), (12, 12), (8, 16), (16, 8)])
 def test_cycle_product_verifies(m, n):
-    grid = label_cycle_product(m, n)
     p = product(DIRECT, cycle(m), cycle(n))
-    report = verify_balanced(p.base, grid.to_labeling())
+    report = verify_balanced(p.base, label_cycle_product(m, n))
     assert report.is_distance_magic
     assert report.magic_constant == cycle_product_magic_constant(m, n) == 2 * m * n + 2
     assert not report.is_balanced
@@ -188,40 +186,40 @@ def _stage_ranges(m, n):
 
 @pytest.mark.parametrize("m,n", [(8, 8), (8, 12), (16, 16), (12, 8)])
 def test_cycle_product_stage_label_ranges(m, n):
-    grid = label_cycle_product(m, n)
+    values = label_cycle_product(m, n).values
     cells = _stage_cells(m, n)
     ranges = _stage_ranges(m, n)
     all_cells = set()
     for stage_cells, stage_range in zip(cells, ranges):
-        used = {grid.entries[i][j] for (i, j) in stage_cells}
+        used = {values[i * n + j] for (i, j) in stage_cells}
         assert used == stage_range
         all_cells |= stage_cells
     assert all_cells == {(i, j) for i in range(m) for j in range(n)}
 
 
 def test_grid_conversions_and_format():
-    grid = label_cycle_product(8, 8)
-    lab = grid.to_labeling()
-    assert tuple(lab.values[8 * i : 8 * i + 8] for i in range(8)) == grid.entries
-    text = format_grid(grid, 130)
-    parsed, k = parse_grid(text)
-    assert parsed == grid and k == 130
-    # paper orientation: row 0 is the last line on the page
-    assert text.splitlines()[-1] == " ".join(str(x) for x in grid.entries[0])
-    assert text.splitlines()[0] == "8 8 130"
+    lab = label_cycle_product(8, 12)
+    text = format_grid(lab, 8, 12, 194)
+    assert parse_grid(text) == (lab, 8, 12, 194)
+    lines = text.splitlines()
+    assert lines[0] == "8 12 194"
+    # paper orientation: row i of the row-major labeling is line m - i on the page
+    for i in range(8):
+        assert lines[8 - i] == " ".join(str(x) for x in lab.values[12 * i : 12 * i + 12])
 
 
 def test_grid_rejects_non_bijection():
-    with pytest.raises(InputError, match="bijection"):
-        GridLabeling(2, 2, ((1, 2), (3, 3)))
+    with pytest.raises(InputError, match=r"^grid entries are not a bijection onto 1\.\.9: "
+                       r"duplicate labels \[8\]; missing labels \[9\]$"):
+        parse_grid("3 3 20\n7 8 8\n4 5 6\n1 2 3\n")
 
 
 def test_cycle_product_grids_pass_the_public_check():
-    # label_cycle_product skips the check GridLabeling(rows, cols, entries) makes
+    # label_cycle_product skips the check Labeling(values) makes
     for m in range(8, 33, 4):
         for n in range(8, 33, 4):
-            grid = label_cycle_product(m, n)
-            assert GridLabeling(m, n, grid.entries) == grid
+            lab = label_cycle_product(m, n)
+            assert Labeling(lab.values) == lab
 
 
 @pytest.mark.parametrize(

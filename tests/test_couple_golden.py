@@ -9,9 +9,10 @@ import hashlib
 
 import pytest
 
-from distmagic.cli import main
+from distmagic.cli import GRAPH_SPECS, _spec_params, main, parse_graph_spec
 from distmagic.constructors import label_complete_bipartite, label_direct
 from distmagic.graphs import complete_bipartite, cycle
+from distmagic.magic import Labeling
 from distmagic.products import DIRECT, product
 from distmagic.rearrange import couple_layers, make_balanced, scramble_balanced
 
@@ -68,3 +69,29 @@ def test_couple_swap_trail_golden(a, seed, swaps, trail, endpoints):
     assert digest.hexdigest()[:16] == trail
     pair = repr((bl.labeling.values, out.labeling.values)).encode()
     assert hashlib.sha256(pair).hexdigest()[:16] == endpoints
+
+
+def _golden_inputs():
+    """(g, h, balanced labeling of h, seed) of every golden coupling above."""
+    for g, h, seed, _ in COUPLE_GOLDEN:
+        name, params = _spec_params(h)
+        yield parse_graph_spec(g), parse_graph_spec(h), GRAPH_SPECS[name][2](*params), seed
+    for a, seed, *_ in SWAP_TRAIL_GOLDEN:
+        yield cycle(4), complete_bipartite(a, a), label_complete_bipartite(a // 2), seed
+
+
+def test_scrambles_and_swaps_make_bijections():
+    # the scramble and the lemma swaps build their labelings unchecked, as
+    # bijections by construction; each one passes the check Labeling makes
+    swaps = []
+
+    def on_swap(before, after, lemma):
+        assert Labeling(after.labeling.values) == after.labeling
+        swaps.append(lemma)
+
+    for g, h, h_labeling, seed in _golden_inputs():
+        bl = make_balanced(product(DIRECT, g, h), label_direct(g, h, h_labeling))
+        bl = scramble_balanced(bl, seed)
+        assert Labeling(bl.labeling.values) == bl.labeling
+        couple_layers(bl, on_swap=on_swap)
+    assert {"lemma1", "lemma2", "lemma3"} <= set(swaps)

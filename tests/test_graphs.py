@@ -157,6 +157,9 @@ def test_parse_edge_list_golden():
         ("3 3\n0 1\n0 1\n1 x\n", r"^line 3: duplicate edge \(0,1\)$"),
         ("3 3\n0 1\n1 x\n0 1\n", r"^line 3: edge endpoints must be integers"),
         ("4 3\n0 1\n2 3\n0 1\n", r"^line 4: duplicate edge \(0,1\)$"),
+        # sizes are checked from the header, before any edge line is read
+        ("1048577 0\n", r"^line 1: 1048577 vertices exceed the limit of 1048576$"),
+        ("4 2097153\n0 1\n", r"^line 1: 2097153 edges exceed the limit of 2097152$"),
     ],
 )
 def test_parse_edge_list_errors(text, fragment):

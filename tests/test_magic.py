@@ -30,7 +30,6 @@ from distmagic.graphs import (
 from distmagic.magic import (
     MAX_DIAGNOSTICS,
     Labeling,
-    _check_bijection,
     eit_schedule,
     format_labeling,
     parse_labeling,
@@ -193,10 +192,15 @@ def test_bijection_violations_are_listed():
 def _bijection_verdict(check, n, values):
     """None when check accepts values as a labeling of n vertices, else its message."""
     try:
-        check(n, Labeling(values))
+        check(n, values)
     except InputError as exc:
         return str(exc)
     return None
+
+
+def _labeling_then_verify(n, values):
+    # Labeling checks the bijection onto 1..len(values), verify the length
+    verify_distance_magic(empty_graph(n), Labeling(values))
 
 
 # per n: permutations, n values drawn around 1..n (duplicates, 0, negatives,
@@ -217,7 +221,7 @@ LABEL_VALUES = st.integers(0, 9).flatmap(
 @given(LABEL_VALUES)
 def test_bijection_check_matches_reference(case):
     n, values = case
-    assert _bijection_verdict(_check_bijection, n, values) == _bijection_verdict(
+    assert _bijection_verdict(_labeling_then_verify, n, values) == _bijection_verdict(
         check_bijection_reference, n, values
     )
 
@@ -271,7 +275,7 @@ def assert_same_report(g, labeling):
 def test_twin_diagnostics_past_the_cap_match_reference(m, n):
     # distance magic, never balanced: hundreds of failing twin pairs
     g = product(DIRECT, cycle(m), cycle(n)).base
-    report = assert_same_report(g, label_cycle_product(m, n).to_labeling())
+    report = assert_same_report(g, label_cycle_product(m, n))
     assert report.is_distance_magic and report.failure_count > MAX_DIAGNOSTICS
     assert len(report.failures) == MAX_DIAGNOSTICS
 
@@ -300,7 +304,7 @@ def labeled_graphs(draw):
     else:
         m, n = draw(st.sampled_from([(8, 8), (8, 12)]))
         graph = product(DIRECT, cycle(m), cycle(n)).base
-        values = list(label_cycle_product(m, n).to_labeling().values)
+        values = list(label_cycle_product(m, n).values)
     if draw(st.booleans()):
         i, j = draw(st.lists(st.integers(0, graph.n - 1), min_size=2, max_size=2, unique=True))
         values[i], values[j] = values[j], values[i]
