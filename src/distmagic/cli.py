@@ -7,9 +7,12 @@ scramble seed, always passed explicitly.
 
 Graph arguments accept either a generator spec or a path to an edge-list
 file.  Specs: cycle:N  path:N  empty:N  kbip:A,B  kminusm:ORDER.  They are
-defined in one place, the GRAPH_SPECS table below, which also gives the
-built-in balanced labeling that `construct` and `couple` use for --h when no
---h-labeling is passed.
+defined in one place, the GRAPH_SPECS table below.
+
+`construct` and `couple` label a product from a balanced labeling of its
+second factor --h: the --h-labeling file when one is passed, else the one
+constructors.label_balanced finds for any balanced --h, spec or edge-list
+file.  An --h without one is rejected.
 """
 
 from __future__ import annotations
@@ -34,54 +37,33 @@ from .products import CARTESIAN, DIRECT, LEXICOGRAPHIC, product
 
 
 # The one place graph specs are defined: spec name -> (generator, parameter
-# count, balanced labeling of the generated graph from the same parsed
-# parameters, or None when there is no built-in one).
+# count).
 GRAPH_SPECS = {
-    "cycle": (cycle, 1, lambda n: constructors.label_c4() if n == 4 else None),
-    "path": (path, 1, lambda n: None),
-    "empty": (
-        empty_graph,
-        1,
-        lambda n: magic.Labeling(tuple(range(1, n + 1))) if n > 0 and n % 2 == 0 else None,
-    ),
-    "kbip": (
-        complete_bipartite,
-        2,
-        lambda a, b: None if a != b or a % 2 else constructors.label_complete_bipartite(a // 2),
-    ),
-    "kminusm": (
-        complete_minus_matching,
-        1,
-        lambda n: constructors.label_complete_minus_matching(n // 2),
-    ),
+    "cycle": (cycle, 1),
+    "path": (path, 1),
+    "empty": (empty_graph, 1),
+    "kbip": (complete_bipartite, 2),
+    "kminusm": (complete_minus_matching, 1),
 }
 
 
-def _spec_params(spec: str) -> tuple[str, list[int]] | None:
-    """(name, parameters) of a generator spec; None for a file path."""
-    name, _, raw = spec.partition(":")
-    if name == spec or name not in GRAPH_SPECS:
-        return None
-    try:
-        params = [int(x) for x in raw.split(",")] if raw else []
-    except ValueError:
-        raise InputError(f"graph spec {spec!r}: parameters must be integers")
-    if len(params) != GRAPH_SPECS[name][1]:
-        raise InputError(f"graph spec {spec!r}: wrong number of parameters")
-    return name, params
-
-
 def parse_graph_spec(spec: str) -> Graph:
-    parsed = _spec_params(spec)
-    if parsed is None:
-        name, sep, _ = spec.partition(":")
+    """The graph of a generator spec, else of the edge-list file it names."""
+    name, sep, raw = spec.partition(":")
+    if name not in GRAPH_SPECS or not sep:
         if sep and name.isidentifier() and not os.path.exists(spec):
             known = ", ".join(GRAPH_SPECS)
             raise InputError(f"graph spec {spec!r}: unknown name {name!r}, known: {known}")
         return parse_edge_list(_read(spec))
-    name, params = parsed
+    generator, count = GRAPH_SPECS[name]
     try:
-        return GRAPH_SPECS[name][0](*params)
+        params = [int(x) for x in raw.split(",")] if raw else []
+    except ValueError:
+        raise InputError(f"graph spec {spec!r}: parameters must be integers")
+    if len(params) != count:
+        raise InputError(f"graph spec {spec!r}: wrong number of parameters")
+    try:
+        return generator(*params)
     except InputError as exc:
         raise InputError(f"graph spec {spec!r}: {exc}")
 
@@ -112,13 +94,13 @@ def _emit(text: str, out: str | None):
 
 
 def _labeling_for(args, h: Graph) -> magic.Labeling:
-    """Balanced labeling of the second factor: --h-labeling, else built-in."""
+    """Balanced labeling of the second factor: --h-labeling, else the one
+    constructors.label_balanced finds, which exists whenever any does."""
     if args.h_labeling is not None:
         return magic.parse_labeling(_read(args.h_labeling), h.n)
-    parsed = _spec_params(args.h)
-    labeling = GRAPH_SPECS[parsed[0]][2](*parsed[1]) if parsed else None
+    labeling = constructors.label_balanced(h)
     if labeling is None:
-        raise InputError(f"no built-in balanced labeling for {args.h!r}; pass --h-labeling")
+        raise InputError(f"--h {args.h!r} is not balanced distance magic")
     return labeling
 
 
@@ -234,30 +216,21 @@ def cmd_couple(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    family = args.family
-    values = args.params
-    if family == "cycle":
-        if len(values) != 1:
-            raise InputError("classify cycle takes one cycle length")
-        verdict = constructors.classify_cycle(values[0])
-        print("distance_magic" if verdict else "not_distance_magic")
-        return 0 if verdict else 1
-    if len(values) != 2:
+    family, values = args.family, args.params
+    if family == "cycle" and len(values) != 1:
+        raise InputError("classify cycle takes one cycle length")
+    if family != "cycle" and len(values) != 2:
         raise InputError(f"classify {family} takes two cycle lengths")
-    m, n = values
     if family == "direct":
-        verdict = constructors.classify_cycle_direct(m, n)
+        verdict = constructors.classify_cycle_direct(*values)
         print(verdict)
         return 0 if verdict != constructors.NOT_DISTANCE_MAGIC else 1
-    if family == "cartesian":
-        flag = constructors.classify_cycle_cartesian(m, n)
-        print("distance_magic" if flag else "not_distance_magic")
-        return 0 if flag else 1
-    if family == "lex":
-        flag = constructors.classify_lex_cycles(m, n)
-        print("distance_magic" if flag else "not_distance_magic")
-        return 0 if flag else 1
-    raise InputError(f"unknown family {family!r}")
+    classify = {"cycle": constructors.classify_cycle,
+                "cartesian": constructors.classify_cycle_cartesian,
+                "lex": constructors.classify_lex_cycles}[family]
+    flag = classify(*values)
+    print("distance_magic" if flag else "not_distance_magic")
+    return 0 if flag else 1
 
 
 def cmd_eit(args) -> int:

@@ -1,10 +1,12 @@
 """Explicit labeling constructions and closed-form classifiers.
 
-Covers: the canonical C4 labeling, complete bipartite K_{2n,2n}, complete
-minus a perfect matching, lexicographic and direct products of a regular
-graph with a balanced distance magic graph, and the five-stage grid
-construction that labels C_m x C_n (direct product) for m, n = 0 mod 4,
-m, n > 4 with magic constant 2mn + 2.
+Covers: label_balanced, the one linear-time decision of which graphs are
+balanced distance magic, with the labeling it builds for them (C4, K_{2n,2n}
+and K_{2n} minus a perfect matching are named calls of it); lexicographic
+and direct products of a regular graph with a balanced distance magic graph;
+the five-stage grid construction that labels C_m x C_n (direct product) for
+m, n = 0 mod 4, m, n > 4 with magic constant 2mn + 2; and the closed-form
+classifiers for products of cycles.
 
 Grid indexing: the direct product of C_m and C_n is viewed as an m x n grid
 of cells v[i][j] (row i along C_m, column j along C_n), where the neighbors
@@ -19,7 +21,15 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import InputError
-from .graphs import Graph, check_size, regularity
+from .graphs import (
+    Graph,
+    check_size,
+    complete_bipartite,
+    complete_minus_matching,
+    cycle,
+    equal_neighborhood_classes,
+    regularity,
+)
 from .magic import Labeling, _check_bijection, verify_balanced
 
 # classifier verdicts for products of cycles
@@ -28,52 +38,58 @@ DISTANCE_MAGIC_NOT_BALANCED = "distance_magic_not_balanced"
 NOT_DISTANCE_MAGIC = "not_distance_magic"
 
 
+def label_balanced(g: Graph) -> Labeling | None:
+    """A balanced distance magic labeling of g, or None when g has none.
+
+    g has one exactly when its order is even, it is regular, and every class
+    of vertices with one open neighborhood has even size: balance twins each
+    vertex with one of the same neighborhood, so every weight is (n+1)/2
+    times the degree.  The 0-vertex graph gets None too, although
+    verify_balanced accepts its empty labeling: it has no pairs to label.
+
+    c[i] is paired with c[-1-i] inside each class c, and the pairs take the
+    labels {1, n}, {2, n-1}, ... in snake order: classes by smallest member,
+    round r taking the r-th pair of every class that has one, odd rounds in
+    reverse; the lower label goes to c[i].  That order reproduces the closed
+    forms for C4, K_{2a,2a}, K_{2a} minus a perfect matching and the empty
+    graph.  Time O(n + |E|).
+    """
+    n = g.n
+    if n == 0 or n % 2 or regularity(g) is None:
+        return None
+    classes = equal_neighborhood_classes(g)
+    if any(len(c) % 2 for c in classes):
+        return None
+    values = [0] * n
+    low = 1
+    r = 0
+    while classes:
+        for c in classes if r % 2 == 0 else reversed(classes):
+            values[c[r]] = low
+            values[c[-1 - r]] = n + 1 - low
+            low += 1
+        r += 1
+        classes = [c for c in classes if len(c) > 2 * r]
+    return Labeling._of_values(tuple(values))
+
+
 def label_c4() -> Labeling:
     """Balanced labeling of C4: consecutive cycle vertices get 1, 2, 4, 3 (k = 5)."""
-    return Labeling((1, 2, 4, 3))
+    return label_balanced(cycle(4))
 
 
 def label_complete_bipartite(n: int) -> Labeling:
-    """Balanced labeling of K_{2n,2n} as built by graphs.complete_bipartite(2n, 2n).
-
-    Label i goes to the first part when i mod 4 is 0 or 1, to the second part
-    otherwise; within a part, labels are placed on ascending vertex ids.
-    """
+    """Balanced labeling of K_{2n,2n} as built by graphs.complete_bipartite(2n, 2n)."""
     if n < 1:
         raise InputError(f"complete bipartite construction needs n >= 1, got n={n}")
-    size = 4 * n
-    check_size(size)
-    values = [0] * size
-    a_next, b_next = 0, 2 * n
-    for i in range(1, size + 1):
-        if i % 4 in (0, 1):
-            values[a_next] = i
-            a_next += 1
-        else:
-            values[b_next] = i
-            b_next += 1
-    return Labeling(tuple(values))
+    return label_balanced(complete_bipartite(2 * n, 2 * n))
 
 
 def label_complete_minus_matching(n: int) -> Labeling:
-    """Balanced labeling of K_{2n} minus the matching {(2i, 2i+1)}.
-
-    The endpoints of the i-th removed edge (1-based) get labels i and 2n+1-i.
-    """
+    """Balanced labeling of K_{2n} minus the matching {(2i, 2i+1)}."""
     if n < 1:
         raise InputError(f"matching construction needs n >= 1, got n={n}")
-    check_size(2 * n)
-    values = [0] * (2 * n)
-    for i in range(n):
-        values[2 * i] = i + 1
-        values[2 * i + 1] = 2 * n - i
-    return Labeling(tuple(values))
-
-
-def _balanced_input(h: Graph, h_labeling: Labeling):
-    report = verify_balanced(h, h_labeling)
-    if not report.is_balanced:
-        raise InputError("the second factor's labeling must be balanced distance magic")
+    return label_balanced(complete_minus_matching(2 * n))
 
 
 def label_direct(g: Graph, h: Graph, h_labeling: Labeling) -> Labeling:
@@ -87,7 +103,8 @@ def label_direct(g: Graph, h: Graph, h_labeling: Labeling) -> Labeling:
     """
     if regularity(g) is None:
         raise InputError("the first factor must be regular")
-    _balanced_input(h, h_labeling)
+    if not verify_balanced(h, h_labeling).is_balanced:
+        raise InputError("the second factor's labeling must be balanced distance magic")
     p, t = g.n, h.n
     check_size(p * t)
     values = [0] * (p * t)
@@ -186,20 +203,20 @@ def classify_cycle_direct(m: int, n: int) -> str:
 
 
 def classify_cycle_cartesian(m: int, n: int) -> bool:
-    """Cartesian product of C_m and C_n: distance magic when m = n = 2 mod 4,
-    and for the one exception {m, n} = {3, 6}; otherwise reported not
-    distance magic.
+    """Cartesian product of C_m and C_n: distance magic when m = n = 2 mod 4
+    or {m, n} = {t, 2t} with t odd; otherwise reported not distance magic.
 
-    The exception has the witness 1 4 11 10 14 17 6 7 3 18 15 8 9 5 2 13 12 16
-    on C_6 x C_3 (vertex (i, j) is i*3 + j) with k = 38.  Of the small pairs
-    tried, a 200k-node search decided only C_3 x C_3 and C_4 x C_3 (not
-    magic) and C_6 x C_3 (magic), so no wider rule is claimed.
+    Positive cells with a known witness (vertex (i, j) is i*n + j):
+    C_6 x C_3 with k = 38, 1 4 11 10 14 17 6 7 3 18 15 8 9 5 2 13 12 16;
+    C_5 x C_10 with k = 102 and C_6 x C_6 with k = 74, both pinned in the
+    tests.  The other positive cells, (7, 14), (10, 10) and beyond, rest on
+    the rule alone.  The search's kernel precheck certifies every negative
+    cell with m, n <= 16 (those up to 10 in the tests).
     """
     _check_cycle_length(m)
     _check_cycle_length(n)
-    if {m, n} == {3, 6}:
-        return True
-    return m == n and m % 4 == 2
+    t, u = min(m, n), max(m, n)
+    return (t == u and t % 4 == 2) or (u == 2 * t and t % 2 == 1)
 
 
 def classify_cycle(n: int) -> bool:

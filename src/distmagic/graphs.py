@@ -1,5 +1,5 @@
 """Simple finite undirected graphs: representation, named generators,
-regularity, and the edge-list text format.
+regularity, equal-neighborhood classes, and the edge-list text format.
 
 Vertices are contiguous 0-based integers.  A graph stores only its sorted
 adjacency: row v is the strictly ascending tuple of v's neighbors, so
@@ -190,6 +190,17 @@ def regularity(g: Graph) -> int | None:
     if len(degrees) == 1:
         return degrees.pop()
     return None
+
+
+def equal_neighborhood_classes(g: Graph) -> list[list[int]]:
+    """Vertex classes with identical open neighborhoods, each ascending and
+    ordered by smallest member: a class enters the dict when its smallest
+    member is read.  Dict lookup hashes the row tuple and falls back to full
+    comparison on collision, so the time is O(n + |E|)."""
+    classes = {}
+    for v, row in enumerate(g.adjacency):
+        classes.setdefault(row, []).append(v)
+    return list(classes.values())
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,9 @@ class Labeling:
     """values[v] is the label of vertex v; labels form a bijection onto {1..n}.
 
     `Labeling(values)` checks the bijection.  Builders whose output is one
-    by construction (`label_cycle_product`, `parse_grid` after its own
-    check, the lemma swaps and the scramble) skip it through `_of_values`.
+    by construction (`label_balanced`, `label_cycle_product`, `parse_grid`
+    after its own check, the lemma swaps and the scramble) skip it through
+    `_of_values`.
     """
 
     values: tuple[int, ...]

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
+from .graphs import equal_neighborhood_classes
 from .magic import Labeling, label_positions, verify_balanced
 from .products import DIRECT, LEXICOGRAPHIC, ProductGraph
 
@@ -345,16 +346,6 @@ class _Lcg:
     def below(self, bound: int) -> int:
         self.state = (1664525 * self.state + 1013904223) & 0xFFFFFFFF
         return self.state % bound
-
-
-def equal_neighborhood_classes(graph) -> list[list[int]]:
-    """Vertex classes with identical neighborhoods, each ascending, ordered by
-    smallest member.  Dict lookup hashes the sorted neighbor tuple and falls
-    back to full comparison on collision."""
-    classes = {}
-    for v in range(graph.n):
-        classes.setdefault(graph.neighbors(v), []).append(v)
-    return sorted(classes.values(), key=lambda c: c[0])
 
 
 def scramble_balanced(bl: BalancedProductLabeling, seed: int) -> BalancedProductLabeling:

@@ -267,3 +267,35 @@ def product_reference(kind: str, g: Graph, h: Graph) -> Graph:
             above = tuple([o + y for o in high for y in range(hn)])
             rows.extend([below + tuple([own + y for y in ys]) + above for ys in h.adjacency])
     return Graph(g.n * hn, tuple(rows))
+
+
+def brute_force_balanced(g: Graph) -> bool:
+    """Whether some bijection is balanced distance magic, by the definition
+    over all n! of them: even order, one weight, and every neighborhood that
+    holds the label i also holds n+1-i; the oracle for label_balanced."""
+    n = g.n
+    if n % 2:
+        return False
+    adj = [g.neighbors(v) for v in range(n)]
+    for perm in itertools.permutations(range(1, n + 1)):
+        if len({sum(perm[u] for u in row) for row in adj}) > 1:
+            continue
+        if all({n + 1 - perm[u] for u in row} == {perm[u] for u in row} for row in adj):
+            return True
+    return False
+
+
+def label_complete_bipartite_reference(a: int) -> tuple[int, ...]:
+    """The closed-form balanced labeling of K_{2a,2a}: label i goes to the
+    first part when i mod 4 is 0 or 1, to the second otherwise, each part
+    filled in ascending vertex order."""
+    parts = ([], [])
+    for i in range(1, 4 * a + 1):
+        parts[i % 4 not in (0, 1)].append(i)
+    return tuple(parts[0] + parts[1])
+
+
+def label_complete_minus_matching_reference(a: int) -> tuple[int, ...]:
+    """The closed-form balanced labeling of K_{2a} minus {(2i, 2i+1)}: the
+    endpoints of the i-th removed edge (1-based) get i and 2a+1-i."""
+    return tuple(x for i in range(1, a + 1) for x in (i, 2 * a + 1 - i))

@@ -3,7 +3,7 @@ import pytest
 from distmagic import cli, constructors, magic
 from distmagic.cli import main
 from distmagic.constructors import label_direct, label_c4
-from distmagic.graphs import cycle, parse_edge_list
+from distmagic.graphs import cycle, format_edge_list, parse_edge_list
 from distmagic.magic import parse_labeling, verify_balanced
 from distmagic.products import product
 from test_cli_golden import CONSTRUCT_GOLDEN, PRODUCT_GOLDEN
@@ -102,13 +102,14 @@ def test_construct_lexicographic_with_labeling_file(tmp_path, capsys):
 
 
 def test_construct_requires_h_labeling_for_unknown_h(capsys):
+    # C6 is regular, but no two of its vertices share a neighborhood
     status, _, err = run(capsys, "construct", "--kind", "direct", "--g", "cycle:3", "--h", "cycle:6")
     assert status == 2
-    assert "no built-in balanced labeling" in err
-    # unequal bipartition parts have no built-in labeling either
+    assert err == "error: --h 'cycle:6' is not balanced distance magic\n"
+    # unequal bipartition parts make K_{2,6} irregular
     status, _, err = run(capsys, "construct", "--kind", "direct", "--g", "cycle:3", "--h", "kbip:2,6")
     assert status == 2
-    assert "no built-in balanced labeling" in err
+    assert err == "error: --h 'kbip:2,6' is not balanced distance magic\n"
 
 
 @pytest.mark.parametrize("command", ["construct", "couple"])
@@ -118,6 +119,38 @@ def test_builtin_h_labeling_reads_parsed_parameters(capsys, command, h, padded):
     status, expected, _ = run(capsys, *argv, h)
     assert status == 0
     assert run(capsys, *argv, padded) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "command,h",
+    [("construct", h) for h in ("cycle:4", "kbip:4,4", "kminusm:6", "empty:4")]
+    # coupling rejects the edgeless product with empty:4
+    + [("couple", h) for h in ("cycle:4", "kbip:4,4", "kminusm:6")],
+)
+def test_edge_list_h_is_labeled_as_its_spec(tmp_path, monkeypatch, capsys, command, h):
+    # the balanced labeling of --h is read off the graph, whatever names it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.edges").write_text(format_edge_list(cli.parse_graph_spec(h)))
+    argv = [command, "--kind", "direct", "--g", "cycle:3", "--h"]
+    status, expected, _ = run(capsys, *argv, h)
+    assert status == 0
+    assert run(capsys, *argv, "h.edges") == (0, expected, "")
+
+
+def test_balanced_edge_list_h_needs_no_labeling(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    status, _, _ = run(capsys, "product", "--kind", "direct", "cycle:4", "kbip:2,2",
+                       "--out", "h.edges")
+    assert status == 0
+    status, _, _ = run(capsys, "construct", "--kind", "lexicographic", "--g", "cycle:3",
+                       "--h", "h.edges", "--out", "p.lab")
+    assert status == 0
+    status, _, _ = run(capsys, "product", "--kind", "lexicographic", "cycle:3", "h.edges",
+                       "--out", "p.edges")
+    assert status == 0
+    status, out, _ = run(capsys, "verify", "--graph", "p.edges", "--labeling", "p.lab",
+                         "--require", "balanced")
+    assert status == 0 and "is_balanced=true" in out
 
 
 def test_couple_with_kbip_h_factor(capsys):
@@ -184,6 +217,10 @@ def test_classify_exit_codes(capsys):
     assert status == 0 and out.strip() == "distance_magic_not_balanced"
     status, out, _ = run(capsys, "classify", "cartesian", "6", "6")
     assert status == 0 and out.strip() == "distance_magic"
+    status, out, _ = run(capsys, "classify", "cartesian", "5", "10")
+    assert status == 0 and out.strip() == "distance_magic"
+    status, out, _ = run(capsys, "classify", "cartesian", "6", "10")
+    assert status == 1 and out.strip() == "not_distance_magic"
     status, out, _ = run(capsys, "classify", "cycle", "6")
     assert status == 1
     status, out, _ = run(capsys, "classify", "lex", "5", "4")

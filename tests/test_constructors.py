@@ -54,6 +54,9 @@ def test_label_complete_bipartite_small_values():
     assert verify_balanced(complete_bipartite(4, 4), label_complete_bipartite(2)).magic_constant == 18
     with pytest.raises(InputError):
         label_complete_bipartite(0)
+    # K_{1450,1450} is over the edge cap, like its graph spec kbip:1450,1450
+    with pytest.raises(InputError, match="2102500 edges exceed the limit"):
+        label_complete_bipartite(725)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -251,6 +254,39 @@ def test_classify_cycle_cartesian_c6_c3_exception():
     assert classify_cycle_cartesian(3, 6) is True
     assert classify_cycle_cartesian(6, 3) is True
     assert not classify_cycle_cartesian(3, 3) and not classify_cycle_cartesian(4, 3)
+
+
+# Cartesian C_m x C_n witnesses, vertex (i, j) = i*n + j: (m, n, k, labels)
+CARTESIAN_WITNESSES = [
+    (5, 10, 102,
+     "1 15 47 16 20 50 36 4 35 31 46 24 32 28 11 5 27 19 23 40 37 9 3 43 49 "
+     "14 42 48 8 2 45 38 18 22 34 6 13 33 29 17 10 30 39 7 25 41 21 12 44 26"),
+    (6, 6, 74,
+     "1 23 28 19 10 13 4 29 17 11 35 32 12 30 6 3 21 22 18 27 24 36 14 9 26 "
+     "2 5 33 8 20 34 16 15 25 7 31"),
+]
+
+
+@pytest.mark.parametrize("m,n,k,text", CARTESIAN_WITNESSES)
+def test_cartesian_witnesses(m, n, k, text):
+    values = tuple(int(x) for x in text.split())
+    # the weight of (i, j) summed over (i+-1, j) and (i, j+-1), without the product's rows
+    for i in range(m):
+        for j in range(n):
+            around = [((i + 1) % m, j), ((i - 1) % m, j), (i, (j + 1) % n), (i, (j - 1) % n)]
+            assert sum(values[a * n + b] for a, b in around) == k
+    report = verify_distance_magic(product(CARTESIAN, cycle(m), cycle(n)).base, Labeling(values))
+    assert report.is_distance_magic and report.magic_constant == k
+    assert classify_cycle_cartesian(m, n) and classify_cycle_cartesian(n, m)
+
+
+def test_classify_cycle_cartesian_rule():
+    # m = n = 2 mod 4, or {m, n} = {t, 2t} with t odd
+    positive = {(6, 6), (10, 10), (14, 14), (3, 6), (5, 10), (7, 14)}
+    for m in range(3, 17):
+        for n in range(3, 17):
+            expected = (min(m, n), max(m, n)) in positive
+            assert classify_cycle_cartesian(m, n) is expected, (m, n)
 
 
 def test_classify_others():

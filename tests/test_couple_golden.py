@@ -9,8 +9,8 @@ import hashlib
 
 import pytest
 
-from distmagic.cli import GRAPH_SPECS, _spec_params, main, parse_graph_spec
-from distmagic.constructors import label_complete_bipartite, label_direct
+from distmagic.cli import main, parse_graph_spec
+from distmagic.constructors import label_balanced, label_complete_bipartite, label_direct
 from distmagic.graphs import complete_bipartite, cycle
 from distmagic.magic import Labeling
 from distmagic.products import DIRECT, product
@@ -74,8 +74,8 @@ def test_couple_swap_trail_golden(a, seed, swaps, trail, endpoints):
 def _golden_inputs():
     """(g, h, balanced labeling of h, seed) of every golden coupling above."""
     for g, h, seed, _ in COUPLE_GOLDEN:
-        name, params = _spec_params(h)
-        yield parse_graph_spec(g), parse_graph_spec(h), GRAPH_SPECS[name][2](*params), seed
+        h = parse_graph_spec(h)
+        yield parse_graph_spec(g), h, label_balanced(h), seed
     for a, seed, *_ in SWAP_TRAIL_GOLDEN:
         yield cycle(4), complete_bipartite(a, a), label_complete_bipartite(a // 2), seed
 

@@ -2,7 +2,7 @@ import pytest
 
 from distmagic.constructors import label_c4, label_direct, label_lexicographic
 from distmagic.errors import InputError
-from distmagic.graphs import complete_bipartite, cycle, empty_graph
+from distmagic.graphs import complete_bipartite, cycle, empty_graph, equal_neighborhood_classes
 from distmagic.magic import Labeling, verify_balanced, weights
 from distmagic.products import CARTESIAN, DIRECT, LEXICOGRAPHIC, product
 from distmagic.rearrange import (
@@ -12,7 +12,6 @@ from distmagic.rearrange import (
     CoupleOutcome,
     closed_h_layer_outcome,
     couple_layers,
-    equal_neighborhood_classes,
     extract_factor_labeling,
     make_balanced,
     scramble_balanced,

@@ -96,7 +96,7 @@ def _product_is_magic(kind, a, b):
 def test_certificates_match_classifiers_on_cycle_products():
     # With a one-node budget only the certificates can answer exhausted_none.
     disagree = []
-    for kind, a, b in itertools.product((DIRECT, CARTESIAN, LEXICOGRAPHIC), range(3, 9), range(3, 9)):
+    for kind, a, b in itertools.product((DIRECT, CARTESIAN, LEXICOGRAPHIC), range(3, 11), range(3, 11)):
         p = product(kind, cycle(a), cycle(b))
         outcome = find_distance_magic(p.base, SearchBudget(1))
         if (outcome.tag == EXHAUSTED_NONE) == _product_is_magic(kind, a, b):
