@@ -19,7 +19,8 @@ preserve balance -- the lemma swaps and the scramble -- move labels only
 between vertices with one shared neighborhood, so every neighborhood keeps
 its set of labels.  They check that premise locally (O(degree) per swap)
 and carry the twin map forward instead of recomputing it.  couple_layers
-verifies its result once, on exit, so what it returns is checked end to end.
+runs one loop that applies lemma 1, then 3, then 2, and verifies its result
+once, on exit, so what it returns is checked end to end.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ def make_balanced(prod: ProductGraph, labeling: Labeling) -> BalancedProductLabe
             f"labeling is not balanced on the product ({report.failure_count} failures)"
         )
     return BalancedProductLabeling(prod, labeling, report.twin_map)
-
-
-def _twin_coords(bl: BalancedProductLabeling, gi: int, hi: int) -> tuple[int, int]:
-    return bl.product.decode(bl.twins[bl.product.encode(gi, hi)])
 
 
 def _exchange(bl: BalancedProductLabeling, a: int, b: int) -> BalancedProductLabeling:
@@ -163,22 +160,46 @@ class CoupleOutcome:
     swaps: int = 0
 
 
+def _layer_twins(bl: BalancedProductLabeling, g: int) -> list[tuple[int, int]]:
+    """The decoded twins of (g,0), (g,1), ... in H-layer g."""
+    prod = bl.product
+    lo = prod.encode(g, 0)
+    return [prod.decode(t) for t in bl.twins[lo : lo + prod.hsize]]
+
+
 def _layer_closed(bl: BalancedProductLabeling, g: int) -> bool:
-    return all(_twin_coords(bl, g, h)[0] == g for h in range(bl.product.hsize))
+    return all(tg == g for tg, _ in _layer_twins(bl, g))
+
+
+def _next_swap(prod: ProductGraph, state, g: int, gp: int):
+    """The next exchange coupling layer g with g' as (lemma, arguments, name),
+    or None if no lemma applies; state[h] is the twin of (g,h).  Lemma 1 aligns
+    a twin outside layer g, lemma 3 pulls an aligned twin from a third layer
+    into g', lemma 2 splits a pair inside g, each on the smallest h admitting
+    it; lemmas 3 and 2 anchor on the smallest h twinned with (g',h)."""
+    for h, (tg, th) in enumerate(state):
+        if tg != g and th != h:
+            return swap_lemma1, (prod.encode(g, h), prod.encode(tg, th)), "lemma1"
+    anchor = next(h for h, twin in enumerate(state) if twin == (gp, h))
+    for h, (tg, th) in enumerate(state):
+        if th == h and tg not in (g, gp):
+            return swap_lemma3, (g, gp, tg, anchor, h), "lemma3"
+    for h, (tg, th) in enumerate(state):
+        if tg == g and th != h:
+            return swap_lemma2, (g, gp, anchor, min(h, th), max(h, th)), "lemma2"
+    return None
 
 
 def couple_layers(bl: BalancedProductLabeling, on_swap=None):
     """Rewrite the labeling until an H-layer is twin-closed or all H-layers
     are coupled in pairs; returns (rewritten labeling, outcome).
 
-    Deterministic choices: the working layer g is the smallest id remaining,
-    and within each rewriting pass the smallest product vertex id is processed
-    first.  Passes run in lemma order: first lemma-1 exchanges align the
-    H-coordinate of any twin reaching outside layer g, then lemma-3 exchanges
-    pull coordinate-aligned twins from third layers into g', then lemma-2
-    exchanges break up pairs living inside layer g.  Every exchange couples a
-    row or strictly shrinks the set of misaligned rows, so the pass loop
-    terminates.
+    One loop: the working layer g is the smallest id remaining.  If no twin of
+    layer g leaves it, g is closed and coupling stops.  Otherwise its partner
+    g' is the layer of the first twin that leaves g, and _next_swap picks
+    exchanges (lemma 1, then 3, then 2) until every (g,h) is twinned with
+    (g',h).  Every exchange couples a row or strictly shrinks the set of
+    misaligned rows, so the loop terminates.
 
     on_swap, when given, is called as on_swap(before, after, lemma_name) for
     every exchange.
@@ -191,85 +212,36 @@ def couple_layers(bl: BalancedProductLabeling, on_swap=None):
     if prod.kind != DIRECT:
         raise InputError("coupling applies to direct products only")
     if prod.base.edge_count == 0:
+        # an isolated vertex forces k = 0: only edgeless twins lack equal factor neighborhoods
         raise InputError("product has no edges; twin structure is undefined")
 
-    hsize = prod.hsize
     swaps = 0
-
-    def apply(fn, *args, lemma):
-        nonlocal bl, swaps
-        new = fn(bl, *args)
-        swaps += 1
-        if on_swap is not None:
-            on_swap(bl, new, lemma)
-        bl = new
-
     remaining = set(range(prod.gsize))
     pairs = []
-    while True:
-        if not remaining:
-            return make_balanced(prod, bl.labeling), CoupleOutcome(
-                COUPLED_PAIRS, pairs=tuple(pairs), swaps=swaps
-            )
-        if len(remaining) == 1:
-            g = next(iter(remaining))
-            if not _layer_closed(bl, g):
-                raise AssertionError("last remaining H-layer must be twin-closed")
-            return make_balanced(prod, bl.labeling), CoupleOutcome(
-                CLOSED_H_LAYER, closed_g=g, swaps=swaps
-            )
+    while remaining:
         g = min(remaining)
-        if _layer_closed(bl, g):
-            return make_balanced(prod, bl.labeling), CoupleOutcome(
-                CLOSED_H_LAYER, closed_g=g, swaps=swaps
-            )
-
-        # pick the partner layer g' from the smallest cross twin, aligning it
-        gp = None
-        for h in range(hsize):
-            tg, th = _twin_coords(bl, g, h)
-            if tg != g:
-                gp = tg
-                if th != h:
-                    apply(swap_lemma1, prod.encode(g, h), prod.encode(tg, th), lemma="lemma1")
-                break
-        assert gp is not None and gp in remaining
-
-        while True:
-            lo = prod.encode(g, 0)
-            state = [prod.decode(t) for t in bl.twins[lo : lo + hsize]]
-            if all(state[h] == (gp, h) for h in range(hsize)):
-                break
-            anchor = next(h for h in range(hsize) if state[h] == (gp, h))
-            moved = False
-            for h in range(hsize):
-                tg, th = state[h]
-                if tg != g and th != h:
-                    apply(swap_lemma1, prod.encode(g, h), prod.encode(tg, th), lemma="lemma1")
-                    moved = True
-                    break
-            if moved:
-                continue
-            for h in range(hsize):
-                tg, th = state[h]
-                if th == h and tg not in (g, gp):
-                    apply(swap_lemma3, g, gp, tg, anchor, h, lemma="lemma3")
-                    moved = True
-                    break
-            if moved:
-                continue
-            for h in range(hsize):
-                tg, th = state[h]
-                if tg == g and th != h:
-                    h1, h2 = (h, th) if h < th else (th, h)
-                    apply(swap_lemma2, g, gp, anchor, h1, h2, lemma="lemma2")
-                    moved = True
-                    break
-            if not moved:
+        gp = next((tg for tg, _ in _layer_twins(bl, g) if tg != g), None)
+        if gp is None:
+            break  # layer g is twin-closed
+        assert gp in remaining
+        aligned = [(gp, h) for h in range(prod.hsize)]
+        while (state := _layer_twins(bl, g)) != aligned:
+            step = _next_swap(prod, state, g, gp)
+            if step is None:
                 raise AssertionError("uncovered twin configuration while coupling")
-
+            fn, args, lemma = step
+            new = fn(bl, *args)
+            if on_swap is not None:
+                on_swap(bl, new, lemma)
+            bl, swaps = new, swaps + 1
         remaining -= {g, gp}
         pairs.append((g, gp))
+
+    if remaining:
+        outcome = CoupleOutcome(CLOSED_H_LAYER, closed_g=min(remaining), swaps=swaps)
+    else:
+        outcome = CoupleOutcome(COUPLED_PAIRS, pairs=tuple(pairs), swaps=swaps)
+    return make_balanced(prod, bl.labeling), outcome
 
 
 def closed_h_layer_outcome(bl: BalancedProductLabeling) -> CoupleOutcome:
@@ -282,6 +254,17 @@ def closed_h_layer_outcome(bl: BalancedProductLabeling) -> CoupleOutcome:
         if _layer_closed(bl, g):
             return CoupleOutcome(CLOSED_H_LAYER, closed_g=g, swaps=0)
     raise InputError("no twin-closed H-layer in this labeling")
+
+
+def _pair_labeling(pairs) -> Labeling:
+    """Label a perfect matching: in order of their smaller members, the i-th
+    pair gets i on its smaller member and n+1-i on the other."""
+    n = 2 * len(pairs)
+    values = [0] * n
+    for i, (a, b) in enumerate(sorted(pairs, key=min), start=1):
+        values[min(a, b)] = i
+        values[max(a, b)] = n + 1 - i
+    return Labeling(tuple(values))
 
 
 def extract_factor_labeling(bl: BalancedProductLabeling, outcome: CoupleOutcome):
@@ -298,17 +281,8 @@ def extract_factor_labeling(bl: BalancedProductLabeling, outcome: CoupleOutcome)
             raise InputError(f"closed layer id {g} out of range [0,{prod.gsize})")
         if not _layer_closed(bl, g):
             raise InputError(f"stale outcome: H-layer {g} is not twin-closed for this labeling")
-        hsize = prod.hsize
-        values = [0] * hsize
-        nextlabel = 1
-        for h in range(hsize):
-            if values[h]:
-                continue
-            _, th = _twin_coords(bl, g, h)
-            values[h] = nextlabel
-            values[th] = hsize - nextlabel + 1
-            nextlabel += 1
-        return "H", Labeling(tuple(values))
+        pairs = [(h, th) for h, (_, th) in enumerate(_layer_twins(bl, g)) if h < th]
+        return "H", _pair_labeling(pairs)
 
     if outcome.tag == COUPLED_PAIRS:
         if outcome.pairs is None:
@@ -317,18 +291,12 @@ def extract_factor_labeling(bl: BalancedProductLabeling, outcome: CoupleOutcome)
         if sorted(flat) != list(range(prod.gsize)):
             raise InputError("coupled pairs do not partition the first factor's vertices")
         for a, b in outcome.pairs:
-            for h in range(prod.hsize):
-                if _twin_coords(bl, a, h) != (b, h):
+            for h, twin in enumerate(_layer_twins(bl, a)):
+                if twin != (b, h):
                     raise InputError(
                         f"stale outcome: twin of ({a},{h}) is not ({b},{h}) for this labeling"
                     )
-        gsize = prod.gsize
-        values = [0] * gsize
-        for i, (a, b) in enumerate(sorted(outcome.pairs, key=min), start=1):
-            lo, hi = (a, b) if a < b else (b, a)
-            values[lo] = i
-            values[hi] = gsize - i + 1
-        return "G", Labeling(tuple(values))
+        return "G", _pair_labeling(outcome.pairs)
 
     raise InputError(f"unknown outcome tag {outcome.tag!r}")
 

@@ -134,7 +134,9 @@ def test_balanced_graphs_are_closed_under_both_products(g, h, seed):
         assert label_balanced(p.base) is not None
         assert verify_balanced(p.base, labeling).is_balanced
         if p.base.edge_count == 0:
-            continue  # coupling has no twin structure to work on
+            # an isolated vertex forces k = 0: only edgeless twins lack equal
+            # factor neighborhoods, so coupling rejects edgeless products
+            continue
         bl = make_balanced(p, labeling)
         if kind == DIRECT:
             bl, outcome = couple_layers(scramble_balanced(bl, seed))

@@ -265,6 +265,18 @@ def test_couple_lexicographic(capsys):
     assert "outcome=closed_H_layer" in out and "factor=H" in out
 
 
+def test_couple_rejects_edgeless_direct_product(capsys):
+    # an isolated vertex forces k = 0, so only in an edgeless product may twins
+    # have unequal factor neighborhoods; the lemmas need them equal.  Coupled
+    # anyway, this input would print the C4 labeling 1 4 2 3, which is not
+    # balanced.
+    status, out, err = run(
+        capsys, "couple", "--kind", "direct", "--g", "cycle:4", "--h", "empty:4", "--seed", "1"
+    )
+    assert status == 2 and out == ""
+    assert "product has no edges" in err
+
+
 def test_couple_with_labeling_file(tmp_path, capsys):
     lab = label_direct(cycle(3), cycle(4), label_c4())
     lab_file = tmp_path / "prod.lab"

@@ -10,8 +10,7 @@ import hashlib
 import pytest
 
 from distmagic.cli import main, parse_graph_spec
-from distmagic.constructors import label_balanced, label_complete_bipartite, label_direct
-from distmagic.graphs import complete_bipartite, cycle
+from distmagic.constructors import label_balanced, label_direct
 from distmagic.magic import Labeling
 from distmagic.products import DIRECT, product
 from distmagic.rearrange import couple_layers, make_balanced, scramble_balanced
@@ -43,21 +42,28 @@ def test_couple_stdout_golden(capsys, g, h, seed, expected):
     assert capsys.readouterr().out == expected
 
 
-# (a, seed, swaps, digest of every (lemma, labeling, twins) after a swap,
-#  digest of the (scrambled, coupled) labeling pair) for C4 x K_{a,a}
+# (g, h, seed, swaps, digest of every (lemma, labeling, twins) after a swap,
+#  digest of the (scrambled, coupled) labeling pair); the labeling of h is
+#  label_balanced(h).  The last six are the benchmark's largest couplings.
 SWAP_TRAIL_GOLDEN = [
-    (4, 1, 7, "f5a431f6a3b9e03b", "523b354747f401f7"),
-    (4, 2, 10, "20959c713d076fc2", "b098a6c13aef9a65"),
-    (8, 1, 25, "9a1d320037df4b1d", "e6cc47d85bffcfe5"),
-    (8, 2, 25, "92af05b7547c9a83", "0c686ba8c9462181"),
+    ("cycle:4", "kbip:4,4", 1, 7, "f5a431f6a3b9e03b", "523b354747f401f7"),
+    ("cycle:4", "kbip:4,4", 2, 10, "20959c713d076fc2", "b098a6c13aef9a65"),
+    ("cycle:4", "kbip:8,8", 1, 25, "9a1d320037df4b1d", "e6cc47d85bffcfe5"),
+    ("cycle:4", "kbip:8,8", 2, 25, "92af05b7547c9a83", "0c686ba8c9462181"),
+    ("cycle:4", "kbip:32,32", 1, 114, "6429fc4858c57337", "c30d405f24854e60"),
+    ("cycle:4", "kbip:32,32", 2, 119, "3023cd2ebf5b6b9b", "36f2ca8658388ce4"),
+    ("kbip:4,4", "kbip:16,16", 1, 153, "42f5503df332de9f", "7f099cca5959653a"),
+    ("kbip:4,4", "kbip:16,16", 2, 163, "333479f014e2f64e", "142912f529bb613c"),
+    ("kbip:8,8", "kminusm:8", 1, 64, "a813814783a11ac5", "6c6b34704590fdfd"),
+    ("kbip:8,8", "kminusm:8", 2, 63, "03d3b778e58c7997", "d747af241cc07062"),
 ]
 
 
-@pytest.mark.parametrize("a,seed,swaps,trail,endpoints", SWAP_TRAIL_GOLDEN)
-def test_couple_swap_trail_golden(a, seed, swaps, trail, endpoints):
-    g, h = cycle(4), complete_bipartite(a, a)
+@pytest.mark.parametrize("g,h,seed,swaps,trail,endpoints", SWAP_TRAIL_GOLDEN)
+def test_couple_swap_trail_golden(g, h, seed, swaps, trail, endpoints):
+    g, h = parse_graph_spec(g), parse_graph_spec(h)
     p = product(DIRECT, g, h)
-    bl = make_balanced(p, label_direct(g, h, label_complete_bipartite(a // 2)))
+    bl = make_balanced(p, label_direct(g, h, label_balanced(h)))
     bl = scramble_balanced(bl, seed)
     digest = hashlib.sha256()
 
@@ -73,11 +79,9 @@ def test_couple_swap_trail_golden(a, seed, swaps, trail, endpoints):
 
 def _golden_inputs():
     """(g, h, balanced labeling of h, seed) of every golden coupling above."""
-    for g, h, seed, _ in COUPLE_GOLDEN:
+    for g, h, seed, *_ in COUPLE_GOLDEN + SWAP_TRAIL_GOLDEN:
         h = parse_graph_spec(h)
         yield parse_graph_spec(g), h, label_balanced(h), seed
-    for a, seed, *_ in SWAP_TRAIL_GOLDEN:
-        yield cycle(4), complete_bipartite(a, a), label_complete_bipartite(a // 2), seed
 
 
 def test_scrambles_and_swaps_make_bijections():
