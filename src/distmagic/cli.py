@@ -88,9 +88,12 @@ def _read(path_arg: str) -> str:
 def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out!r}: {exc}")
 
 
 def _labeling_for(args, h: Graph) -> magic.Labeling:
@@ -293,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget",
         type=int,
-        help="cap on backtracking nodes, not on the kernel precheck before them; "
-        "omitted means unlimited",
+        help="cap on backtracking nodes, not on the kernel precheck before them, "
+        "whose time grows about quadratically with the vertex count, on sparse "
+        "graphs too; omitted means unlimited",
     )
     p.add_argument("--out")
     p.set_defaults(fn=cmd_search)

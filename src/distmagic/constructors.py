@@ -3,9 +3,10 @@
 Covers: label_balanced, the one linear-time decision of which graphs are
 balanced distance magic, with the labeling it builds for them (C4, K_{2n,2n}
 and K_{2n} minus a perfect matching are named calls of it); lexicographic
-and direct products of a regular graph with a balanced distance magic graph;
-the five-stage grid construction that labels C_m x C_n (direct product) for
-m, n = 0 mod 4, m, n > 4 with magic constant 2mn + 2; and the closed-form
+and direct products of a regular graph with a balanced distance magic graph,
+one range of labels per g-fibre; the grid construction that labels C_m x C_n
+(direct product) for m, n = 0 mod 4, m, n > 4 with magic constant 2mn + 2,
+its five stages composed into one shift per cell; and the closed-form
 classifiers for products of cycles.
 
 Grid indexing: the direct product of C_m and C_n is viewed as an m x n grid
@@ -17,8 +18,6 @@ sides m and n next to it.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 from .errors import InputError
 from .graphs import (
@@ -108,12 +107,10 @@ def label_direct(g: Graph, h: Graph, h_labeling: Labeling) -> Labeling:
     p, t = g.n, h.n
     check_size(p * t)
     values = [0] * (p * t)
-    for hv in range(t):
-        j = h_labeling.values[hv]
-        for gv in range(p):
-            i = gv + 1
-            lab = (j - 1) * p + i if j <= t // 2 else j * p - i + 1
-            values[gv * t + hv] = lab
+    for hv, j in enumerate(h_labeling.values):
+        # the fibre of hv: vertices hv, t + hv, ..., (p-1)t + hv in g order
+        values[hv::t] = (range((j - 1) * p + 1, j * p + 1) if j <= t // 2
+                         else range(j * p, (j - 1) * p, -1))
     return Labeling(tuple(values))
 
 
@@ -128,13 +125,19 @@ def label_cycle_product(m: int, n: int) -> Labeling:
     """Distance magic (never balanced) labeling of the direct product of C_m
     and C_n for m, n = 0 mod 4 and m, n > 4, with magic constant 2mn + 2.
 
-    Built in five stages: seeds on every second cell of row 0, then row 2 in
-    reversed column order, then the remaining even rows recursively, then the
-    odd rows, and finally every odd column from its even neighbor column.
-    Labels above mn/2 shift down where labels at most mn/2 shift up, so each
-    stage consumes one low and one high block of the label range.  Every
-    label of 1..mn is written once, so the labeling is a bijection by
-    construction and is not checked again.
+    The construction has five stages.  Moving a label by d means adding d
+    to a label at most mn/2 and subtracting d from one above it.
+      1. seeds on the even columns of row 0;
+      2. row 2 is row 0 in reversed column order, moved by n/4;
+      3. every even row from 4 on is the even row four above, moved by n/2;
+      4. every odd row is the even row below, moved by mn/8;
+      5. every odd column is the even column to its left, moved by mn/4.
+    No stage moves a label across mn/2, so the moves add up: with q = i // 2,
+    the even columns of row i are the seeds (reversed when q is odd) moved
+    once by d = (q // 2)n/2 + (q % 2)n/4 + (i % 2)mn/8, and its odd columns
+    the same seeds moved by d + mn/4.  Each stage consumes one low and one
+    high block of the label range, so every label of 1..mn is written once:
+    the labeling is a bijection by construction and is not checked again.
     """
     if m % 4 or n % 4:
         raise InputError(f"both cycle lengths must be divisible by 4, got m={m} n={n}")
@@ -146,37 +149,20 @@ def label_cycle_product(m: int, n: int) -> Labeling:
     total = m * n
     check_size(total)
     half = total // 2
-    grid = [[0] * n for _ in range(m)]
-
-    def shifted(value, delta):
-        return value + delta if value <= half else value - delta
-
-    # stage 1: row 0, columns 0 and 2 mod 4
-    for j in range(n // 4):
-        grid[0][4 * j] = 2 * j + 1 if j <= (n + 7) // 8 - 1 else n // 2 - 2 * j
-    for j in range(n // 4):
-        grid[0][4 * j + 2] = total - 2 * j - 1 if j <= n // 8 - 1 else total - n // 2 + 2 * j + 2
-
-    # stage 2: row 2 reads row 0 in reversed column order
-    for j in range(0, n, 2):
-        grid[2][j] = shifted(grid[0][n - 2 - j], n // 4)
-
-    # stage 3: even rows 4..m-2, each from the even row four above
-    for i in range(2, m // 2):
-        for j in range(0, n, 2):
-            grid[2 * i][j] = shifted(grid[2 * i - 4][j], n // 2)
-
-    # stage 4: odd rows from the even row below
-    for i in range(m // 2):
-        for j in range(0, n, 2):
-            grid[2 * i + 1][j] = shifted(grid[2 * i][j], total // 8)
-
-    # stage 5: odd columns from the even column to the left
+    # stage 1: seeds[2j] is cell (0, 4j), seeds[2j + 1] is cell (0, 4j + 2)
+    seeds = [0] * (n // 2)
+    seeds[0::2] = [2 * j + 1 if j <= (n + 7) // 8 - 1 else n // 2 - 2 * j for j in range(n // 4)]
+    seeds[1::2] = [total - 2 * j - 1 if j <= n // 8 - 1 else total - n // 2 + 2 * j + 2
+                   for j in range(n // 4)]
+    values = [0] * total
     for i in range(m):
-        for j in range(1, n, 2):
-            grid[i][j] = shifted(grid[i][j - 1], total // 4)
-
-    return Labeling._of_values(tuple(chain.from_iterable(grid)))
+        q = i // 2
+        row = seeds[::-1] if q % 2 else seeds
+        d = (q // 2) * (n // 2) + (q % 2) * (n // 4) + (i % 2) * (total // 8)
+        e = d + total // 4
+        values[i * n : (i + 1) * n : 2] = [x + d if x <= half else x - d for x in row]
+        values[i * n + 1 : (i + 1) * n : 2] = [x + e if x <= half else x - e for x in row]
+    return Labeling._of_values(tuple(values))
 
 
 def cycle_product_magic_constant(m: int, n: int) -> int:

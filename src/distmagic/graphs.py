@@ -48,11 +48,11 @@ class Graph:
     row v exactly when v is in row u.
 
     Rows are checked once, where they enter the library: `Graph(n, rows)`
-    checks every row for type, range, order, loops and symmetry, since its
-    rows come from the caller.  The library's own builders -- `from_edges`,
-    the generators, `parse_edge_list` and `products.product` -- write rows
-    that are valid by construction and skip that check through
-    `Graph._of_rows`.
+    checks that n and every entry are ints (not bools or floats) and every
+    row for type, range, order, loops and symmetry, since its rows come
+    from the caller.  The library's own builders -- `from_edges`, the
+    generators, `parse_edge_list` and `products.product` -- write rows that
+    are valid by construction and skip that check through `Graph._of_rows`.
     """
 
     n: int
@@ -60,6 +60,8 @@ class Graph:
 
     def __post_init__(self):
         n, adj = self.n, self.adjacency
+        if type(n) is not int:
+            raise InputError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         if type(adj) is not tuple or len(adj) != n:
@@ -70,6 +72,8 @@ class Graph:
                 raise InputError(f"row {v} must be a tuple")
             prev = -1
             for u in row:
+                if type(u) is not int:
+                    raise InputError(f"row {v} entry {u!r} is not an int")
                 if not (prev < u < n):
                     raise InputError(f"row {v} is not strictly ascending inside [0,{n})")
                 if u == v:

@@ -28,16 +28,21 @@ MAX_DIAGNOSTICS = 32
 class Labeling:
     """values[v] is the label of vertex v; labels form a bijection onto {1..n}.
 
-    `Labeling(values)` checks the bijection.  Builders whose output is one
-    by construction (`label_balanced`, `label_cycle_product`, `parse_grid`
-    after its own check, the lemma swaps and the scramble) skip it through
-    `_of_values`.
+    `Labeling(values)` checks that every value is an int (a bool or a float
+    is not) and that the values form the bijection.  Builders whose output
+    is one by construction (`label_balanced`, `label_cycle_product`,
+    `parse_grid` after its own check, the lemma swaps and the scramble) skip
+    it through `_of_values`.
     """
 
     values: tuple[int, ...]
 
     def __post_init__(self):
-        _check_bijection(self.values)
+        values = self.values
+        if not set(map(type, values)) <= {int}:
+            v = next(v for v, x in enumerate(values) if type(x) is not int)
+            raise InputError(f"label of vertex {v} must be an int, got {values[v]!r}")
+        _check_bijection(values)
 
     @classmethod
     def _of_values(cls, values: tuple[int, ...]) -> "Labeling":

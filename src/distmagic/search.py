@@ -39,8 +39,9 @@ class SearchBudget:
     """Node cap for one search; None means unlimited.
 
     The cap counts backtracking nodes only.  The kernel precheck runs before
-    the first node and is not bounded by it; on large dense graphs its exact
-    elimination can take seconds.
+    the first node and is not bounded by it.  Its exact elimination takes
+    time about quadratic in n on sparse graphs too (C4000 takes seconds),
+    so a large graph runs long whatever the cap.
     """
 
     max_nodes: int | None = None

@@ -69,6 +69,21 @@ def test_grid_verify_roundtrip(tmp_path, capsys):
     assert "is_balanced=false" in out
 
 
+def test_cycle_product_list_labels_the_direct_product(tmp_path, capsys):
+    lab_file, edge_file, grid_file = (tmp_path / name for name in ("p.lab", "p.edges", "p.grid"))
+    construct = ["construct", "--kind", "cycle-product", "--m", "8", "--n", "12"]
+    assert run(capsys, *construct, "--format", "list", "--out", str(lab_file))[0] == 0
+    assert run(capsys, "product", "--kind", "direct", "cycle:8", "cycle:12",
+               "--out", str(edge_file))[0] == 0
+    status, out, _ = run(capsys, "verify", "--graph", str(edge_file), "--labeling", str(lab_file))
+    assert status == 0
+    assert "is_distance_magic=true" in out and "magic_constant=194" in out
+    # the list and the grid carry one labeling, vertex (i, j) being i * 12 + j
+    assert run(capsys, *construct, "--out", str(grid_file))[0] == 0
+    grid_labeling = constructors.parse_grid(grid_file.read_text())[0]
+    assert parse_labeling(lab_file.read_text(), 96) == grid_labeling
+
+
 def test_construct_direct_with_builtin_h_labeling(tmp_path, capsys):
     lab_file = tmp_path / "prod.lab"
     edge_file = tmp_path / "prod.edges"
@@ -305,6 +320,11 @@ TOO_LARGE = [
 ]
 
 
+# --out paths that cannot be opened for writing: a directory, and a file in
+# a directory that does not exist
+UNWRITABLE = ["adir", "missing/c4.lab"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -323,7 +343,8 @@ TOO_LARGE = [
     + [["search", "--graph", "cycle:4", "--budget", budget] for budget in ("0", "-3")]
     + [["verify", "--grid", grid] for grid in ("2x4.grid", "4x1.grid")]  # cycle lengths below 3
     + [["verify", "--grid", "repeat.grid"]]  # label 8 twice, 9 missing
-    + [["product", "--kind", "direct", "accent.edges", "cycle:3"]],  # UTF-8 bytes in a line
+    + [["product", "--kind", "direct", "accent.edges", "cycle:3"]]  # UTF-8 bytes in a line
+    + [["construct", "--kind", "c4", "--out", out] for out in UNWRITABLE],
 )
 def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -333,8 +354,11 @@ def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "4x1.grid").write_text("4 1 10\n4\n3\n2\n1\n")
     (tmp_path / "repeat.grid").write_text("3 3 20\n7 8 8\n4 5 6\n1 2 3\n")
     (tmp_path / "accent.edges").write_bytes(b"2 1\n0 1\xc3\xa9\n")
+    (tmp_path / "adir").mkdir()
     status, _, err = run(capsys, *argv)
     assert status == 2
+    if argv[-1] in UNWRITABLE:
+        assert err.startswith(f"error: cannot write {argv[-1]!r}: ")
     if "accent.edges" in argv:
         assert err == "error: cannot read 'accent.edges': byte 0xc3 at offset 7 is not ASCII\n"
     if argv[-1] in ("2x4.grid", "4x1.grid"):

@@ -3,7 +3,9 @@
 Each case pins a sha256 digest (first 16 hex digits) of the command's whole
 stdout, so any change to a product labeling or to an edge list shows here.
 The direct and lexicographic constructions share one labeling formula, which
-is why their digests agree pair by pair.
+is why their digests agree pair by pair.  The labelings of the grid and of
+the direct construction are pinned on their own too, at sizes no command
+here reaches.
 """
 
 import hashlib
@@ -12,12 +14,13 @@ import pytest
 
 from distmagic.cli import main
 from distmagic.constructors import (
+    label_balanced,
     label_c4,
     label_complete_minus_matching,
     label_cycle_product,
     label_direct,
 )
-from distmagic.graphs import cycle
+from distmagic.graphs import complete_bipartite, complete_minus_matching, cycle
 
 CONSTRUCT_GOLDEN = [
     ("direct", "cycle:3", "cycle:4", "99513df1e5f356f1"),
@@ -68,6 +71,40 @@ def test_construct_stdout_golden(capsys, kind, g, h, digest):
 @pytest.mark.parametrize("kind,h,digest", PRODUCT_GOLDEN)
 def test_product_stdout_golden(capsys, kind, h, digest):
     assert stdout_digest(capsys, ["product", "--kind", kind, "cycle:3", h]) == digest
+
+
+def labels_digest(labelings):
+    """Digest of the labels, one line per labeling, space separated."""
+    text = "".join(" ".join(map(str, lab.values)) + "\n" for lab in labelings)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_cycle_product_sweep_golden():
+    sides = range(8, 65, 4)
+    grids = (label_cycle_product(m, n) for m in sides for n in sides)
+    assert labels_digest(grids) == "614265593ff3d2f3"
+
+
+@pytest.mark.parametrize("m,n,digest", [
+    (8, 1024, "158c27e21522eead"),
+    (1024, 8, "8b576fa4e2d5b77b"),
+    (256, 256, "97a2731f240e01f1"),
+    (512, 2048, "d57d1b562e4d0423"),
+])
+def test_cycle_product_golden(m, n, digest):
+    assert labels_digest([label_cycle_product(m, n)]) == digest
+
+
+def test_table16_stdout_golden(capsys):
+    assert stdout_digest(capsys, ["table16"]) == "18b60c36c84bbec1"
+
+
+@pytest.mark.parametrize("g,h,digest", [
+    (cycle(60), complete_bipartite(20, 20), "89cf1265d09f6f41"),
+    (complete_bipartite(3, 3), complete_minus_matching(6), "e4d640a3b0232373"),
+], ids=["C60xK20,20", "K3,3x(K6-M)"])
+def test_label_direct_golden(g, h, digest):
+    assert labels_digest([label_direct(g, h, label_balanced(h))]) == digest
 
 
 def _swapped(values, a, b):

@@ -104,6 +104,13 @@ def test_from_edges_rejects_loop_and_range():
         (1, None, "adjacency must be a tuple of 1 rows, got NoneType"),  # no len()
         (1, 5, "adjacency must be a tuple of 1 rows, got int"),
         (1, iter([()]), "adjacency must be a tuple of 1 rows, got list_iterator"),
+        # n and the entries must be ints: 1.0 and True compare and index like 1
+        (2, ((1.0,), (0,)), r"^row 0 entry 1\.0 is not an int$"),
+        (2, ((True,), (0,)), "^row 0 entry True is not an int$"),
+        (2, ((1,), (False,)), "^row 1 entry False is not an int$"),
+        (2, (("1",), (0,)), "^row 0 entry '1' is not an int$"),
+        (2.0, ((1,), (0,)), r"^vertex count must be an int, got 2\.0$"),
+        (True, ((),), "^vertex count must be an int, got True$"),
     ]:
         with pytest.raises(InputError, match=fragment):
             Graph(n, rows)

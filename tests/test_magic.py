@@ -189,6 +189,19 @@ def test_bijection_violations_are_listed():
         verify_distance_magic(cycle(4), Labeling((1, 2, 3)))
 
 
+@pytest.mark.parametrize("values,message", [
+    ((1.5, 2), "label of vertex 0 must be an int, got 1.5"),
+    ((True, 2), "label of vertex 0 must be an int, got True"),
+    ((2, 1.0), "label of vertex 1 must be an int, got 1.0"),
+    (("a", "b"), "label of vertex 0 must be an int, got 'a'"),
+], ids=["float", "bool", "integral-float", "str"])
+def test_labeling_rejects_values_that_are_not_ints(values, message):
+    # each would pass the bijection check or break it with a TypeError
+    with pytest.raises(InputError) as excinfo:
+        Labeling(values)
+    assert str(excinfo.value) == message
+
+
 def _bijection_verdict(check, n, values):
     """None when check accepts values as a labeling of n vertices, else its message."""
     try:
