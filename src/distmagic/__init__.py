@@ -20,6 +20,7 @@ from .magic import (
     eit_schedule,
     verify_balanced,
     verify_distance_magic,
+    verify_grid,
     weights,
 )
 from .products import (
@@ -51,5 +52,6 @@ __all__ = [
     "regularity",
     "verify_balanced",
     "verify_distance_magic",
+    "verify_grid",
     "weights",
 ]

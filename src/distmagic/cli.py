@@ -150,13 +150,12 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     if args.grid is not None:
         labeling, m, n, _ = constructors.parse_grid(_read(args.grid))
-        g = product(DIRECT, cycle(m), cycle(n)).base
+        report = magic.verify_grid(labeling, m, n)
     else:
         if args.graph is None or args.labeling is None:
             raise InputError("verify needs --graph and --labeling, or --grid")
         g = parse_graph_spec(args.graph)
-        labeling = magic.parse_labeling(_read(args.labeling), g.n)
-    report = magic.verify_balanced(g, labeling)
+        report = magic.verify_balanced(g, magic.parse_labeling(_read(args.labeling), g.n))
     render = magic.report_text if args.format == "text" else magic.report_kv
     _emit(render(report), args.out)
     ok = report.is_balanced if args.require == "balanced" else report.is_distance_magic
@@ -278,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a labeling file against a graph")
     p.add_argument("--graph")
     p.add_argument("--labeling")
-    p.add_argument("--grid", help="grid file; implies the direct product of two cycles")
+    p.add_argument("--grid", help="grid file; implies the direct product of two cycles, "
+                   "verified in grid coordinates without building it")
     p.add_argument("--require", choices=["magic", "balanced"], default="magic")
     p.add_argument("--format", choices=["kv", "text"], default="kv")
     p.add_argument("--out")

@@ -11,12 +11,17 @@ Edge case fixed here once and for all: a graph with no edges and even order is
 accepted as balanced distance magic with k = 0, and the report carries a
 `degenerate` flag so callers can tell this apart from a genuinely positive
 magic constant.
+
+`verify_grid` gives `verify_balanced`'s report on the direct product of two
+cycles from the grid alone, without building the product graph.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain, repeat
+from operator import add, sub
 
 from .errors import InputError
 from .graphs import Graph, regularity
@@ -28,8 +33,9 @@ MAX_DIAGNOSTICS = 32
 class Labeling:
     """values[v] is the label of vertex v; labels form a bijection onto {1..n}.
 
-    `Labeling(values)` checks that every value is an int (a bool or a float
-    is not) and that the values form the bijection.  Builders whose output
+    `Labeling(values)` checks that values is a tuple (as `Graph` does for
+    its rows), that every value is an int (a bool or a float is not) and
+    that the values form the bijection.  Builders whose output
     is one by construction (`label_balanced`, `label_cycle_product`,
     `parse_grid` after its own check, the lemma swaps and the scramble) skip
     it through `_of_values`.
@@ -39,6 +45,8 @@ class Labeling:
 
     def __post_init__(self):
         values = self.values
+        if type(values) is not tuple:
+            raise InputError(f"labeling values must be a tuple, got {type(values).__name__}")
         if not set(map(type, values)) <= {int}:
             v = next(v for v, x in enumerate(values) if type(x) is not int)
             raise InputError(f"label of vertex {v} must be an int, got {values[v]!r}")
@@ -120,18 +128,26 @@ class VerifyReport:
 
 def verify_distance_magic(g: Graph, labeling: Labeling) -> VerifyReport:
     """Check the uniform-weight condition and report per-vertex weights."""
-    if labeling.n != g.n:
-        raise InputError(f"labeling has {labeling.n} entries for a graph on {g.n} vertices")
-    w = weights(g, labeling)
+    _check_length(labeling, g.n)
+    return _weight_report(weights(g, labeling), g.edge_count == 0)
+
+
+def _check_length(labeling: Labeling, n: int):
+    if labeling.n != n:
+        raise InputError(f"labeling has {labeling.n} entries for a graph on {n} vertices")
+
+
+def _weight_report(w: tuple[int, ...], edgeless: bool) -> VerifyReport:
+    """The report of the uniform-weight condition on the weights w."""
     uniform = len(set(w)) <= 1
-    k = (w[0] if g.n else 0) if uniform else None
+    k = (w[0] if w else 0) if uniform else None
     failures, count = _weight_failures(w) if not uniform else ((), 0)
     return VerifyReport(
         weights=w,
         magic_constant=k,
         is_distance_magic=uniform,
         is_balanced=False,
-        degenerate=uniform and g.edge_count == 0,
+        degenerate=uniform and edgeless,
         twin_map=None,
         failures=failures,
         failure_count=count,
@@ -175,7 +191,7 @@ def verify_balanced(g: Graph, labeling: Labeling) -> VerifyReport:
                 twin_failures += len(set(adj[u]).difference(adj[t]))
         count += twin_failures
         if twin_failures and len(failures) < MAX_DIAGNOSTICS:
-            _append_twin_diagnostics(adj, vals, twins, differs, failures)
+            _append_twin_diagnostics(range(n), adj.__getitem__, vals, twins, differs, failures)
         if not twin_failures and base.is_distance_magic:
             twin_map = tuple(twins)
 
@@ -191,19 +207,109 @@ def verify_balanced(g: Graph, labeling: Labeling) -> VerifyReport:
     )
 
 
-def _append_twin_diagnostics(adj, vals, twins, differs, failures):
-    """Append failing pairs (w, u) in (w, u) order until MAX_DIAGNOSTICS."""
+def _append_twin_diagnostics(ws, row, vals, twins, differs, failures):
+    """Append failing pairs (w, u) in (w, u) order until MAX_DIAGNOSTICS.
+
+    ws runs ascending over the vertices w to scan; it may leave out those
+    with no u of `differs` in N(w), as they have no failing pair.  row(v) is
+    N(v), ascending.
+    """
     n = len(vals)
-    for w, row in enumerate(adj):
-        for u in row:
+    for w in ws:
+        for u in row(w):
             if differs[u]:
-                back = adj[twins[u]]
+                back = row(twins[u])
                 i = bisect_left(back, w)
                 if i == len(back) or back[i] != w:
                     failures.append(Diagnostic(w, expected=n + 1 - vals[u], actual=vals[u],
                                                kind="twin"))
                     if len(failures) == MAX_DIAGNOSTICS:
                         return
+
+
+def verify_grid(labeling: Labeling, m: int, n: int) -> VerifyReport:
+    """`verify_balanced` on the direct product C_m x C_n, without building it.
+
+    Cell (i, j) of the grid is vertex i*n + j of `product(DIRECT, cycle(m),
+    cycle(n))`, and its neighbours are the four cells (i±1, j±1), so the
+    report is computed from the grid and equals the product's to the byte:
+
+    - weights: the sums over the cells (i±1, j), then over their (·, j±1),
+      each one C-level pass over the grid;
+    - twins: N(u) and N(t) share c_m(di)·c_n(dj) cells, where (di, dj) is
+      t - u in grid coordinates and c_L(d) = |{-1, 1} ∩ {d-1, d+1}| on C_L,
+      so u has 4 - c_m(di)·c_n(dj) failing pairs;
+    - diagnostics: the scan of `verify_balanced`, over the cells next to
+      both a row and a column with failing pairs, with each cell's
+      neighbours listed on demand.
+
+    Time O(mn) and extra memory O(mn); no adjacency is built.
+    """
+    if m < 3 or n < 3:
+        raise InputError(f"grid sides must be cycle lengths >= 3, got m={m} n={n}")
+    size = m * n
+    _check_length(labeling, size)
+    vals = labeling.values
+    base = _weight_report(_diagonal_sums(vals, n), False)
+    if size % 2:
+        return base
+    pos = label_positions(labeling)
+    twins = [pos[size - x] for x in vals]
+    # code[v] = i*w + j for v = (i, j) with w = 2n, so code[t] - code[u] =
+    # di*w + dj tells the signed (di, dj) apart
+    w = 2 * n
+    code = list(chain.from_iterable(map(range, range(0, m * w, w), range(n, m * w, w))))
+    # failing[di*w + dj]: the failing pairs of a cell whose twin lies (di, dj)
+    # away; 4, N(u) and N(t(u)) disjoint, at every offset not listed
+    failing = {di * w + dj: 4 - ci * cj
+               for di, ci in _overlaps(m).items() for dj, cj in _overlaps(n).items()}
+    differs = list(map(failing.get, map(sub, map(code.__getitem__, twins), code), repeat(4)))
+    twin_failures = sum(differs)
+    failures = list(base.failures)
+    if twin_failures and len(failures) < MAX_DIAGNOSTICS:
+
+        def row(v):
+            i, j = divmod(v, n)
+            xs = sorted(((i - 1) % m * n, (i + 1) % m * n))
+            ys = sorted(((j - 1) % n, (j + 1) % n))
+            return [x + y for x in xs for y in ys]
+
+        # a w with failing pairs lies next to a row and a column holding some
+        rows = _next_to([any(differs[r : r + n]) for r in range(0, size, n)])
+        cols = _next_to([any(differs[j::n]) for j in range(n)])
+        ws = (i * n + j for i in rows for j in cols)
+        _append_twin_diagnostics(ws, row, vals, twins, differs, failures)
+    balanced = not twin_failures and base.is_distance_magic
+    return replace(base, is_balanced=balanced, twin_map=tuple(twins) if balanced else None,
+                   failures=tuple(failures), failure_count=base.failure_count + twin_failures)
+
+
+def _diagonal_sums(vals, n: int) -> tuple[int, ...]:
+    """Sums of vals over the cells (i±1, j±1) of each cell (i, j) of a
+    row-major grid with n columns, both sides cyclic."""
+    # rows i-1 and i+1 are the whole grid shifted by one row
+    vert = list(map(add, vals[-n:] + vals[:-n], vals[n:] + vals[:n]))
+    # columns j-1 and j+1 are it shifted by one cell, mended at the row ends
+    left = vert[-1:] + vert[:-1]
+    left[::n] = vert[n - 1 :: n]
+    right = vert[1:] + vert[:1]
+    right[n - 1 :: n] = vert[::n]
+    return tuple(map(add, left, right))
+
+
+def _next_to(live: list[bool]) -> list[int]:
+    """The i, ascending, with live[i - 1] or live[i + 1] on a cycle."""
+    k = len(live)
+    return [i for i in range(k) if live[i - 1] or live[(i + 1) % k]]
+
+
+def _overlaps(length: int) -> dict[int, int]:
+    """{d: c(d)} over the d in (-length, length) with c(d) = |{-1, 1} ∩
+    {d-1, d+1}| on C_length nonzero, that is d ≡ 0 or ±2 (mod length): 2 at
+    d = 0 and, on C4, at d = ±2; 1 otherwise."""
+    ends = {-1 % length, 1 % length}
+    return {d: len(ends & {(d - 1) % length, (d + 1) % length})
+            for d in (0, 2, -2, length - 2, 2 - length)}
 
 
 def _weight_failures(w):

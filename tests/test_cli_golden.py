@@ -14,6 +14,7 @@ import pytest
 
 from distmagic.cli import main
 from distmagic.constructors import (
+    format_grid,
     label_balanced,
     label_c4,
     label_complete_minus_matching,
@@ -21,6 +22,7 @@ from distmagic.constructors import (
     label_direct,
 )
 from distmagic.graphs import complete_bipartite, complete_minus_matching, cycle
+from distmagic.magic import Labeling
 
 CONSTRUCT_GOLDEN = [
     ("direct", "cycle:3", "cycle:4", "99513df1e5f356f1"),
@@ -160,5 +162,26 @@ def test_verify_stdout_golden(tmp_path, capsys, graph, values, status, kv, text)
     for fmt in ("kv", "text"):
         argv = ["verify", "--graph", graph, "--labeling", str(lab_file), "--format", fmt]
         assert main(argv) == status
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16])
+    assert digests == [kv, text]
+
+
+# the rows of VERIFY_GOLDEN on a direct product of two cycles, which
+# `verify --grid` checks in grid coordinates
+GRID_GOLDEN = ["twin-only-c8xc8", "both-swapped-pair", "both-capped-c5xc4", "balanced-product"]
+
+
+@pytest.mark.parametrize("case", GRID_GOLDEN)
+def test_verify_grid_stdout_matches_the_product_graph(tmp_path, capsys, case):
+    (graph, values, status, kv, text), = [row[1:] for row in VERIFY_GOLDEN if row[0] == case]
+    kind, g, h = graph
+    assert kind == "direct" and g.startswith("cycle:") and h.startswith("cycle:")
+    m, n = int(g[len("cycle:"):]), int(h[len("cycle:"):])
+    grid = tmp_path / "x.grid"
+    # verify reads the header's k and ignores it
+    grid.write_text(format_grid(Labeling(values), m, n, 0))
+    digests = []
+    for fmt in ("kv", "text"):
+        assert main(["verify", "--grid", str(grid), "--format", fmt]) == status
         digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16])
     assert digests == [kv, text]

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from distmagic.magic import (
     report_text,
     verify_balanced,
     verify_distance_magic,
+    verify_grid,
     weights,
 )
 from distmagic.products import DIRECT, LEXICOGRAPHIC, product
@@ -194,9 +196,13 @@ def test_bijection_violations_are_listed():
     ((True, 2), "label of vertex 0 must be an int, got True"),
     ((2, 1.0), "label of vertex 1 must be an int, got 1.0"),
     (("a", "b"), "label of vertex 0 must be an int, got 'a'"),
-], ids=["float", "bool", "integral-float", "str"])
+    ([2, 1], "labeling values must be a tuple, got list"),
+    (iter([1]), "labeling values must be a tuple, got list_iterator"),
+    (range(1, 3), "labeling values must be a tuple, got range"),
+], ids=["float", "bool", "integral-float", "str", "list", "iterator", "range"])
 def test_labeling_rejects_values_that_are_not_ints(values, message):
-    # each would pass the bijection check or break it with a TypeError
+    # each would pass the bijection check or break it with a TypeError; a
+    # list would make a labeling that cannot be hashed
     with pytest.raises(InputError) as excinfo:
         Labeling(values)
     assert str(excinfo.value) == message
@@ -291,6 +297,60 @@ def test_twin_diagnostics_past_the_cap_match_reference(m, n):
     report = assert_same_report(g, label_cycle_product(m, n))
     assert report.is_distance_magic and report.failure_count > MAX_DIAGNOSTICS
     assert len(report.failures) == MAX_DIAGNOSTICS
+    assert verify_grid(label_cycle_product(m, n), m, n) == report
+
+
+def _swapped(values, i, j):
+    values = list(values)
+    values[i], values[j] = values[j], values[i]
+    return tuple(values)
+
+
+def _grid_labelings(m, n):
+    """Labelings of the m x n grid: two seeded random bijections, the cycle
+    product grid and a balanced labeling with a side of 4 where they are
+    defined, and each of the last two with two labels swapped."""
+    rng = random.Random(m * 100 + n)
+    size = m * n
+    out = [tuple(rng.sample(range(1, size + 1), size)) for _ in range(2)]
+    built = []
+    if m % 4 == n % 4 == 0 and m > 4 and n > 4:
+        built.append(label_cycle_product(m, n).values)
+    if n == 4:
+        built.append(label_direct(cycle(m), cycle(4), label_c4()).values)
+    if m == 4:
+        # the transpose: cell (i, j) of C4 x C_n is cell (j, i) of C_n x C4
+        by_columns = label_direct(cycle(n), cycle(4), label_c4()).values
+        built.append(tuple(by_columns[j * 4 + i] for i in range(4) for j in range(n)))
+    for values in built:
+        out += [values, _swapped(values, *rng.sample(range(size), 2))]
+    return [Labeling(values) for values in out]
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_verify_grid_matches_verify_balanced_on_the_product(m):
+    verdicts = set()
+    for n in range(3, 13):
+        g = product(DIRECT, cycle(m), cycle(n)).base
+        for labeling in _grid_labelings(m, n):
+            report, reference = verify_grid(labeling, m, n), verify_balanced(g, labeling)
+            assert report == reference, (m, n, labeling.values)
+            assert report_kv(report) == report_kv(reference)
+            assert report_text(report) == report_text(reference)
+            verdicts.add((report.is_distance_magic, report.is_balanced))
+    # every m has a balanced grid (n = 4) and grids that are not magic
+    assert {(True, True), (False, False)} <= verdicts
+
+
+@pytest.mark.parametrize("labeling,m,n,message", [
+    (Labeling(tuple(range(1, 13))), 3, 3, "labeling has 12 entries for a graph on 9 vertices"),
+    (Labeling(tuple(range(1, 9))), 2, 4, "grid sides must be cycle lengths >= 3, got m=2 n=4"),
+    (Labeling(tuple(range(1, 7))), 3, 2, "grid sides must be cycle lengths >= 3, got m=3 n=2"),
+])
+def test_verify_grid_rejects_mismatched_sizes(labeling, m, n, message):
+    with pytest.raises(InputError) as excinfo:
+        verify_grid(labeling, m, n)
+    assert str(excinfo.value) == message
 
 
 BALANCED_FACTORS = [
