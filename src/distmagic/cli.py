@@ -149,8 +149,11 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.grid is not None:
-        labeling, m, n, _ = constructors.parse_grid(_read(args.grid))
+        labeling, m, n, k = constructors.parse_grid(_read(args.grid))
         report = magic.verify_grid(labeling, m, n)
+        if report.is_distance_magic and report.magic_constant != k:
+            raise InputError(f"line 1: header k={k} disagrees with the grid's magic constant "
+                             f"{report.magic_constant}")
     else:
         if args.graph is None or args.labeling is None:
             raise InputError("verify needs --graph and --labeling, or --grid")

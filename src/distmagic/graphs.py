@@ -21,11 +21,9 @@ exhausted memory.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
-from typing import Iterable
 
+from ._value import Value
 from .errors import InputError
 
 MAX_VERTICES = 1 << 20
@@ -40,8 +38,7 @@ def check_size(vertices: int, edges: int = 0):
         raise InputError(f"{edges} edges exceed the limit of {MAX_EDGES}")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Value):
     """Undirected simple graph on vertices 0..n-1 (no loops, no multi-edges).
 
     adjacency[v] is the strictly ascending tuple of v's neighbors; u is in
@@ -55,10 +52,11 @@ class Graph:
     are valid by construction and skip that check through `Graph._of_rows`.
     """
 
-    n: int
-    adjacency: tuple[tuple[int, ...], ...]
+    _fields = ("n", "adjacency")
+    __slots__ = _fields + ("_edges",)
 
-    def __post_init__(self):
+    def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...]):
+        self._init(n, adjacency)
         n, adj = self.n, self.adjacency
         if type(n) is not int:
             raise InputError(f"vertex count must be an int, got {n!r}")
@@ -87,15 +85,12 @@ class Graph:
     @classmethod
     def _of_rows(cls, n: int, adjacency: tuple[tuple[int, ...], ...]) -> "Graph":
         """A graph from rows its builder guarantees valid; no row check."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adjacency", adjacency)
-        return g
+        return cls._of_fields(n, adjacency)
 
     @staticmethod
-    def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from arbitrary (u, v) pairs in either endpoint order;
-        repeated pairs count once."""
+    def from_edges(n: int, pairs) -> "Graph":
+        """Build a graph from an iterable of (u, v) pairs in either endpoint
+        order; repeated pairs count once."""
         check_size(n)
         ids = list(range(n))
         rows = [[] for _ in range(n)]
@@ -108,10 +103,15 @@ class Graph:
             rows[v].append(ids[u])
         return Graph._of_rows(n, tuple([tuple(sorted(set(row))) for row in rows]))
 
-    @cached_property
+    @property
     def edges(self) -> frozenset:
-        """Edges as canonical (min, max) pairs, derived from the rows."""
-        return frozenset((u, v) for u, row in enumerate(self.adjacency) for v in row if u < v)
+        """Edges as canonical (min, max) pairs, derived from the rows once."""
+        try:
+            return self._edges
+        except AttributeError:
+            edges = frozenset((u, v) for u, row in enumerate(self.adjacency) for v in row if u < v)
+            object.__setattr__(self, "_edges", edges)
+            return edges
 
     @property
     def edge_count(self) -> int:

@@ -19,18 +19,17 @@ cycles from the grid alone, without building the product graph.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from operator import add, sub
 
+from ._value import Value
 from .errors import InputError
 from .graphs import Graph, regularity
 
 MAX_DIAGNOSTICS = 32
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(Value):
     """values[v] is the label of vertex v; labels form a bijection onto {1..n}.
 
     `Labeling(values)` checks that values is a tuple (as `Graph` does for
@@ -41,10 +40,10 @@ class Labeling:
     it through `_of_values`.
     """
 
-    values: tuple[int, ...]
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self):
-        values = self.values
+    def __init__(self, values: tuple[int, ...]):
+        self._init(values)
         if type(values) is not tuple:
             raise InputError(f"labeling values must be a tuple, got {type(values).__name__}")
         if not set(map(type, values)) <= {int}:
@@ -55,9 +54,7 @@ class Labeling:
     @classmethod
     def _of_values(cls, values: tuple[int, ...]) -> "Labeling":
         """A labeling whose builder guarantees a bijection; no check."""
-        labeling = object.__new__(cls)
-        object.__setattr__(labeling, "values", values)
-        return labeling
+        return cls._of_fields(values)
 
     @property
     def n(self) -> int:
@@ -104,26 +101,26 @@ def weights(g: Graph, labeling: Labeling) -> tuple[int, ...]:
     return tuple([sum([vals[u] for u in row]) for row in g.adjacency])
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """One verification failure: what a vertex should have seen vs what it saw."""
+class Diagnostic(Value):
+    """One verification failure: what a vertex should have seen vs what it
+    saw; kind is "weight" or "twin"."""
 
-    vertex: int
-    expected: int
-    actual: int
-    kind: str  # "weight" or "twin"
+    __slots__ = _fields = ("vertex", "expected", "actual", "kind")
+
+    def __init__(self, vertex: int, expected: int, actual: int, kind: str):
+        self._init(vertex, expected, actual, kind)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    weights: tuple[int, ...]
-    magic_constant: int | None
-    is_distance_magic: bool
-    is_balanced: bool
-    degenerate: bool
-    twin_map: tuple[int, ...] | None
-    failures: tuple[Diagnostic, ...]
-    failure_count: int
+class VerifyReport(Value):
+    __slots__ = _fields = ("weights", "magic_constant", "is_distance_magic", "is_balanced",
+                           "degenerate", "twin_map", "failures", "failure_count")
+
+    def __init__(self, weights: tuple[int, ...], magic_constant: int | None,
+                 is_distance_magic: bool, is_balanced: bool, degenerate: bool,
+                 twin_map: tuple[int, ...] | None, failures: tuple[Diagnostic, ...],
+                 failure_count: int):
+        self._init(weights, magic_constant, is_distance_magic, is_balanced, degenerate,
+                   twin_map, failures, failure_count)
 
 
 def verify_distance_magic(g: Graph, labeling: Labeling) -> VerifyReport:
@@ -175,35 +172,37 @@ def verify_balanced(g: Graph, labeling: Labeling) -> VerifyReport:
     """
     base = verify_distance_magic(g, labeling)
     n = g.n
+    if n % 2:
+        return base
+    vals = labeling.values
+    pos = label_positions(labeling)
+    twins = [pos[n - x] for x in vals]
+    adj = g.adjacency
+    differs = bytearray(n)  # differs[u]: N(u) != N(t(u))
+    twin_failures = 0
+    for u, t in enumerate(twins):
+        if adj[u] != adj[t]:
+            differs[u] = 1
+            twin_failures += len(set(adj[u]).difference(adj[t]))
     failures = list(base.failures)
-    count = base.failure_count
-    twin_map = None
-    if n % 2 == 0:
-        vals = labeling.values
-        pos = label_positions(labeling)
-        twins = [pos[n - x] for x in vals]
-        adj = g.adjacency
-        differs = bytearray(n)  # differs[u]: N(u) != N(t(u))
-        twin_failures = 0
-        for u, t in enumerate(twins):
-            if adj[u] != adj[t]:
-                differs[u] = 1
-                twin_failures += len(set(adj[u]).difference(adj[t]))
-        count += twin_failures
-        if twin_failures and len(failures) < MAX_DIAGNOSTICS:
-            _append_twin_diagnostics(range(n), adj.__getitem__, vals, twins, differs, failures)
-        if not twin_failures and base.is_distance_magic:
-            twin_map = tuple(twins)
+    if twin_failures and len(failures) < MAX_DIAGNOSTICS:
+        _append_twin_diagnostics(range(n), adj.__getitem__, vals, twins, differs, failures)
+    return _twin_report(base, twins, twin_failures, failures)
 
+
+def _twin_report(base: VerifyReport, twins, twin_failures: int, failures) -> VerifyReport:
+    """The weight report base with the twin check's result: the twin map
+    twins, the count of failing pairs and the diagnostics of both checks."""
+    balanced = not twin_failures and base.is_distance_magic
     return VerifyReport(
         weights=base.weights,
         magic_constant=base.magic_constant,
         is_distance_magic=base.is_distance_magic,
-        is_balanced=twin_map is not None,
+        is_balanced=balanced,
         degenerate=base.degenerate,
-        twin_map=twin_map,
+        twin_map=tuple(twins) if balanced else None,
         failures=tuple(failures),
-        failure_count=count,
+        failure_count=base.failure_count + twin_failures,
     )
 
 
@@ -279,9 +278,7 @@ def verify_grid(labeling: Labeling, m: int, n: int) -> VerifyReport:
         cols = _next_to([any(differs[j::n]) for j in range(n)])
         ws = (i * n + j for i in rows for j in cols)
         _append_twin_diagnostics(ws, row, vals, twins, differs, failures)
-    balanced = not twin_failures and base.is_distance_magic
-    return replace(base, is_balanced=balanced, twin_map=tuple(twins) if balanced else None,
-                   failures=tuple(failures), failure_count=base.failure_count + twin_failures)
+    return _twin_report(base, twins, twin_failures, failures)
 
 
 def _diagonal_sums(vals, n: int) -> tuple[int, ...]:
@@ -330,20 +327,21 @@ def _weight_failures(w):
 # Equalized incomplete tournament export
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EitRow:
-    team: int  # vertex id
-    strength: int  # label
-    opponents: tuple[int, ...]  # opponent strengths, ascending
-    total: int
+class EitRow(Value):
+    """A team (vertex id), its strength (label), its opponents' strengths,
+    ascending, and their total."""
+
+    __slots__ = _fields = ("team", "strength", "opponents", "total")
+
+    def __init__(self, team: int, strength: int, opponents: tuple[int, ...], total: int):
+        self._init(team, strength, opponents, total)
 
 
-@dataclass(frozen=True)
-class EitSchedule:
-    teams: int
-    rounds: int
-    magic_constant: int
-    rows: tuple[EitRow, ...]
+class EitSchedule(Value):
+    __slots__ = _fields = ("teams", "rounds", "magic_constant", "rows")
+
+    def __init__(self, teams: int, rounds: int, magic_constant: int, rows: tuple[EitRow, ...]):
+        self._init(teams, rounds, magic_constant, rows)
 
 
 def eit_schedule(g: Graph, labeling: Labeling) -> EitSchedule:

@@ -17,10 +17,10 @@ holds one int object per vertex however many rows contain it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
+from ._value import Value
 from .errors import InputError
 from .graphs import Graph, check_size
 
@@ -31,14 +31,13 @@ DIRECT = "direct"
 PRODUCT_KINDS = (CARTESIAN, LEXICOGRAPHIC, DIRECT)
 
 
-@dataclass(frozen=True)
-class ProductGraph:
+class ProductGraph(Value):
     """A product together with its factors and the pair encoding."""
 
-    base: Graph
-    factor_g: Graph
-    factor_h: Graph
-    kind: str
+    __slots__ = _fields = ("base", "factor_g", "factor_h", "kind")
+
+    def __init__(self, base: Graph, factor_g: Graph, factor_h: Graph, kind: str):
+        self._init(base, factor_g, factor_h, kind)
 
     @property
     def gsize(self) -> int:

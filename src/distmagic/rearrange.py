@@ -25,8 +25,7 @@ once, on exit, so what it returns is checked end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .errors import InputError
 from .graphs import equal_neighborhood_classes
 from .magic import Labeling, label_positions, verify_balanced
@@ -36,8 +35,7 @@ CLOSED_H_LAYER = "closed_H_layer"
 COUPLED_PAIRS = "coupled_pairs"
 
 
-@dataclass(frozen=True)
-class BalancedProductLabeling:
+class BalancedProductLabeling(Value):
     """A product labeling known to be balanced, with its twin involution:
     verified by make_balanced, or derived from such a value by a step that
     preserves balance by proof.
@@ -45,9 +43,10 @@ class BalancedProductLabeling:
     twins[v] is the vertex holding the complementary label |V|+1-l(v).
     """
 
-    product: ProductGraph
-    labeling: Labeling
-    twins: tuple[int, ...]
+    __slots__ = _fields = ("product", "labeling", "twins")
+
+    def __init__(self, product: ProductGraph, labeling: Labeling, twins: tuple[int, ...]):
+        self._init(product, labeling, twins)
 
 
 def make_balanced(prod: ProductGraph, labeling: Labeling) -> BalancedProductLabeling:
@@ -149,15 +148,15 @@ def swap_lemma3(bl, g, gp, gpp, h, hp) -> BalancedProductLabeling:
     return _exchange(bl, prod.encode(gp, hp), prod.encode(gpp, hp))
 
 
-@dataclass(frozen=True)
-class CoupleOutcome:
+class CoupleOutcome(Value):
     """Either one twin-closed H-layer, or a pairing of all H-layers such that
     within a pair (g, g') the twin of (g,h) is (g',h) for every h."""
 
-    tag: str
-    closed_g: int | None = None
-    pairs: tuple[tuple[int, int], ...] | None = None
-    swaps: int = 0
+    __slots__ = _fields = ("tag", "closed_g", "pairs", "swaps")
+
+    def __init__(self, tag: str, closed_g: int | None = None,
+                 pairs: tuple[tuple[int, int], ...] | None = None, swaps: int = 0):
+        self._init(tag, closed_g, pairs, swaps)
 
 
 def _layer_twins(bl: BalancedProductLabeling, g: int) -> list[tuple[int, int]]:

@@ -22,9 +22,9 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
+from ._value import Value
 from .errors import InputError
 from .graphs import Graph, regularity
 from .magic import Labeling
@@ -34,8 +34,7 @@ EXHAUSTED_NONE = "exhausted_none"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(Value):
     """Node cap for one search; None means unlimited.
 
     The cap counts backtracking nodes only.  The kernel precheck runs before
@@ -44,30 +43,38 @@ class SearchBudget:
     so a large graph runs long whatever the cap.
     """
 
-    max_nodes: int | None = None
+    __slots__ = _fields = ("max_nodes",)
 
-    def __post_init__(self):
+    def __init__(self, max_nodes: int | None = None):
+        self._init(max_nodes)
         if self.max_nodes is not None and self.max_nodes <= 0:
             raise InputError(f"bounded budget must be positive, got {self.max_nodes}")
 
 
-@dataclass
-class SearchStats:
-    nodes: int = 0  # assignments pushed
-    steps: int = 0  # candidate labels tried
-    prunes: dict = field(default_factory=dict)
-    forced_equal: tuple[int, int] | None = None  # pair behind kernel_forced_equal
+class SearchStats(Value):
+    """Counters of one search, updated in place: nodes (assignments pushed),
+    steps (candidate labels tried), prunes by reason (a new dict when None),
+    and forced_equal, the pair behind kernel_forced_equal."""
+
+    __slots__ = _fields = ("nodes", "steps", "prunes", "forced_equal")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, nodes: int = 0, steps: int = 0, prunes: dict | None = None,
+                 forced_equal: tuple[int, int] | None = None):
+        self._init(nodes, steps, {} if prunes is None else prunes, forced_equal)
 
     def prune(self, reason: str):
         self.prunes[reason] = self.prunes.get(reason, 0) + 1
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    tag: str
-    labeling: Labeling | None
-    magic_constant: int | None
-    stats: SearchStats
+class SearchOutcome(Value):
+    __slots__ = _fields = ("tag", "labeling", "magic_constant", "stats")
+
+    def __init__(self, tag: str, labeling: Labeling | None, magic_constant: int | None,
+                 stats: SearchStats):
+        self._init(tag, labeling, magic_constant, stats)
 
 
 class _Budget(Exception):

@@ -344,7 +344,8 @@ UNWRITABLE = ["adir", "missing/c4.lab"]
     + [["verify", "--grid", grid] for grid in ("2x4.grid", "4x1.grid")]  # cycle lengths below 3
     + [["verify", "--grid", "repeat.grid"]]  # label 8 twice, 9 missing
     + [["product", "--kind", "direct", "accent.edges", "cycle:3"]]  # UTF-8 bytes in a line
-    + [["construct", "--kind", "c4", "--out", out] for out in UNWRITABLE],
+    + [["construct", "--kind", "c4", "--out", out] for out in UNWRITABLE]
+    + [["verify", "--grid", "k0.grid"]],  # distance magic with k = 194, header k = 0
 )
 def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -354,6 +355,8 @@ def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "4x1.grid").write_text("4 1 10\n4\n3\n2\n1\n")
     (tmp_path / "repeat.grid").write_text("3 3 20\n7 8 8\n4 5 6\n1 2 3\n")
     (tmp_path / "accent.edges").write_bytes(b"2 1\n0 1\xc3\xa9\n")
+    grid = constructors.label_cycle_product(8, 12)
+    (tmp_path / "k0.grid").write_text(constructors.format_grid(grid, 8, 12, 0))
     (tmp_path / "adir").mkdir()
     status, _, err = run(capsys, *argv)
     assert status == 2
@@ -369,6 +372,8 @@ def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
             "error: grid entries are not a bijection onto 1..9: "
             "duplicate labels [8]; missing labels [9]\n"
         )
+    if argv[-1] == "k0.grid":
+        assert err == "error: line 1: header k=0 disagrees with the grid's magic constant 194\n"
     if argv[-1] in BAD_SPECS:
         # the message names the spec it rejects
         assert repr(argv[-1]) in err

@@ -22,7 +22,7 @@ from distmagic.constructors import (
     label_direct,
 )
 from distmagic.graphs import complete_bipartite, complete_minus_matching, cycle
-from distmagic.magic import Labeling
+from distmagic.magic import Labeling, verify_grid
 
 CONSTRUCT_GOLDEN = [
     ("direct", "cycle:3", "cycle:4", "99513df1e5f356f1"),
@@ -178,8 +178,12 @@ def test_verify_grid_stdout_matches_the_product_graph(tmp_path, capsys, case):
     assert kind == "direct" and g.startswith("cycle:") and h.startswith("cycle:")
     m, n = int(g[len("cycle:"):]), int(h[len("cycle:"):])
     grid = tmp_path / "x.grid"
-    # verify reads the header's k and ignores it
-    grid.write_text(format_grid(Labeling(values), m, n, 0))
+    # verify rejects a header k other than a magic grid's constant, and
+    # reads no k from a grid that is not magic
+    labeling = Labeling(values)
+    report = verify_grid(labeling, m, n)
+    k = report.magic_constant if report.is_distance_magic else 0
+    grid.write_text(format_grid(labeling, m, n, k))
     digests = []
     for fmt in ("kv", "text"):
         assert main(["verify", "--grid", str(grid), "--format", fmt]) == status

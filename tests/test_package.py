@@ -1,5 +1,10 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import distmagic
 
@@ -37,3 +42,26 @@ def unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     assert [hit for path in files for hit in unused_imports(path)] == []
+
+
+# stdlib modules whose import costs more than the package's own; the
+# package needs only bisect, itertools, operator and math
+HEAVY = {"dataclasses", "typing", "inspect", "functools", "ast", "dis", "tokenize"}
+
+
+def modules_loaded_by(*modules: str) -> set[str]:
+    """The modules a `python -S` interpreter holds after importing `modules`."""
+    code = f"import sys, {', '.join(modules)}; print(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+@pytest.mark.parametrize("modules,absent", [
+    (("distmagic", "distmagic.search", "distmagic.rearrange", "distmagic.constructors"), HEAVY),
+    # argparse loads functools through re
+    (("distmagic.cli",), HEAVY - {"functools"}),
+], ids=["library", "cli"])
+def test_import_loads_no_heavy_stdlib(modules, absent):
+    assert modules_loaded_by(*modules) & absent == set()
