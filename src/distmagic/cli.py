@@ -69,8 +69,9 @@ def parse_graph_spec(spec: str) -> Graph:
 
 
 def _read(path_arg: str) -> str:
-    """The ASCII text of a file.  Every reader splits it with splitlines(),
-    so newlines need no translation."""
+    """The ASCII text of a file, with its newlines as written.  The readers
+    scan "\n"-ended lines in bulk and read any other line ends, such as
+    "\r\n", line by line with splitlines(), so newlines need no translation."""
     try:
         with open(path_arg, "rb") as fh:
             data = fh.read()
@@ -149,6 +150,8 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.grid is not None:
+        if args.graph is not None or args.labeling is not None:
+            raise InputError("verify takes --grid, or --graph with --labeling, not both")
         labeling, m, n, k = constructors.parse_grid(_read(args.grid))
         report = magic.verify_grid(labeling, m, n)
         if report.is_distance_magic and report.magic_constant != k:

@@ -21,7 +21,10 @@ from __future__ import annotations
 
 from .errors import InputError
 from .graphs import (
+    MAX_VERTICES,
     Graph,
+    _scan_blocks,
+    _scan_ints,
     check_size,
     complete_bipartite,
     complete_minus_matching,
@@ -112,9 +115,6 @@ def label_direct(g: Graph, h: Graph, h_labeling: Labeling) -> Labeling:
         values[hv::t] = (range((j - 1) * p + 1, j * p + 1) if j <= t // 2
                          else range(j * p, (j - 1) * p, -1))
     return Labeling(tuple(values))
-
-
-label_lexicographic = label_direct
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,41 @@ def format_grid(labeling: Labeling, m: int, n: int, k: int) -> str:
 def parse_grid(text: str) -> tuple[Labeling, int, int, int]:
     """(row-major labeling, m, n, k) of a grid text.  The sizes are checked
     from the header, before any row is read, and the entries once, as a
-    bijection onto 1..m*n."""
+    bijection onto 1..m*n.
+
+    A canonical grid -- decimals without sign or leading zero, one space
+    between entries and a newline after each line -- is read in bulk, a
+    block of rows at a time.  Any other text is read again line by line,
+    which reports the first bad line.
+    """
+    values, m, n, k = _scan_grid(text) or _read_grid_lines(text)
+    values = tuple(values)
+    _check_bijection(values, f"grid entries are not a bijection onto 1..{m * n}")
+    return Labeling._of_values(values), m, n, k
+
+
+def _scan_grid(text: str) -> tuple[list[int], int, int, int] | None:
+    """(row-major entries, m, n, k) of a canonical grid of valid size, else None."""
+    start = text.find("\n") + 1
+    header = _scan_ints(text[:start], "  \n")
+    if not header:
+        return None
+    m, n, k = header
+    if m < 3 or n < 3 or m * n > MAX_VERTICES:
+        return None
+    values = [0] * (m * n)
+    i = m  # rows are printed top-down, row 0 last
+    for ints in _scan_blocks(text, start, " " * (n - 1) + "\n"):
+        if ints is None or len(ints) > i * n:
+            return None
+        for j in range(0, len(ints), n):
+            i -= 1
+            values[i * n : (i + 1) * n] = ints[j : j + n]
+    return (values, m, n, k) if i == 0 else None
+
+
+def _read_grid_lines(text: str) -> tuple[list[int], int, int, int]:
+    """(row-major entries, m, n, k) of a grid text, read and checked line by line."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise InputError("line 1: missing grid header 'm n k'")
@@ -271,6 +305,4 @@ def parse_grid(text: str) -> tuple[Labeling, int, int, int]:
             values[i * n : (i + 1) * n] = map(int, parts)
         except ValueError:
             raise InputError(f"line {idx + 2}: grid entries must be integers, got {line!r}")
-    values = tuple(values)
-    _check_bijection(values, f"grid entries are not a bijection onto 1..{total}")
-    return Labeling._of_values(values), m, n, k
+    return values, m, n, k

@@ -16,12 +16,20 @@ Sizes are capped at MAX_VERTICES vertices and MAX_EDGES edges.  Every
 generator, parser and product checks its counts against the caps before it
 allocates anything, so an oversized request is rejected input, not an
 exhausted memory.
+
+The text readers here and in `magic` and `constructors` share one bulk scan
+(`_scan_ints`, `_scan_blocks`): a canonical text is read a block of lines at
+a time, each block's integers decoded by one C-level call, so no reader
+holds a list of all lines.  Any other spelling, and any error, sends the
+text to the reader's line-by-line path, the only one that names a line in
+its errors.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import islice
+from operator import lt
 
 from ._value import Value
 from .errors import InputError
@@ -208,6 +216,53 @@ def equal_neighborhood_classes(g: Graph) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
+# Bulk integer scan
+# ---------------------------------------------------------------------------
+
+# characters per block of a bulk scan; a block ends just after a newline
+SCAN_BLOCK = 1 << 16
+
+_NO_DIGITS = dict.fromkeys(range(ord("0"), ord("9") + 1))
+_TO_COMMAS = {ord(" "): ",", ord("\n"): ","}
+
+
+def _scan_ints(text: str, line_shape: str) -> list[int] | None:
+    """The integers of text if it is canonical, else None.
+
+    Canonical means: the text ends with a newline, and deleting the ASCII
+    digits leaves `line_shape` (spaces ending in one newline) repeated, so
+    every line has the shape's number of tokens, and every token is a
+    decimal without sign or leading zero.  The stdlib JSON decoder reads the
+    tokens as one array in C; it also rejects the empty tokens and leading
+    zeros the shape test lets through.  It is imported here, so importing
+    the package does not load it.
+    """
+    rest = text.translate(_NO_DIGITS)
+    if not text.endswith("\n") or rest != line_shape * (len(rest) // len(line_shape)):
+        return None
+    import json
+
+    try:
+        return json.loads("[" + text[:-1].translate(_TO_COMMAS) + "]")
+    except ValueError:
+        return None
+
+
+def _scan_blocks(text: str, start: int, line_shape: str):
+    """Yield the integers of text[start:], `_scan_ints` on one block of
+    about SCAN_BLOCK characters at a time; yield None and stop at the first
+    block that is not canonical.  Only one block is held at a time."""
+    size = len(text)
+    while start < size:
+        end = text.find("\n", start + SCAN_BLOCK - 1) + 1 or size
+        ints = _scan_ints(text[start:end], line_shape)
+        yield ints
+        if ints is None:
+            return
+        start = end
+
+
+# ---------------------------------------------------------------------------
 # Edge-list text format
 #
 #   line 1:       "n m"
@@ -217,14 +272,80 @@ def equal_neighborhood_classes(g: Graph) -> list[list[int]]:
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format, rejecting malformed lines with their line number.
 
-    The error reported is the one on the first bad line.  Each line is
-    checked for shape, order, loops and range as it is read; repeats of an
-    earlier edge are found in the sorted rows, and only then are the lines
-    read again for the line number.  Besides the text and its lines, parsing
-    holds only the rows (no set of every edge read), and the graph is built
-    without a second row check.  Rows take each endpoint from one table of
-    ids, so the int that `int()` makes per token is dropped at once.
+    A canonical text -- every line two decimals without sign or leading
+    zero, one space between them and a newline after -- is read in bulk, a
+    block at a time.  Any other spelling, and any error, is read again line
+    by line, which reports the first bad line, so both readers give the same
+    graph or the same error.  Rows take each endpoint from one table of ids,
+    so the int a token is read as is dropped at once.
     """
+    g = _scan_edge_list(text)
+    return g if g is not None else _read_edge_list_lines(text)
+
+
+def _scan_edge_list(text: str) -> Graph | None:
+    """The graph of a canonical edge list whose lines are all valid, else None.
+
+    Checks run per block in C: 0 <= u < v < n on every line, and the line
+    count against m.  While the lines are strictly ascending, as
+    `format_edge_list` writes them, every row is already ascending with no
+    repeat, and no later line can touch a row below the block's last u:
+    those rows become final tuples at once, so the lists of the whole graph
+    are never held together.  After the first line out of order, the rows
+    are sorted at the end and repeats found in them.
+    """
+    start = text.find("\n") + 1
+    header = _scan_ints(text[:start], " \n")
+    if not header:
+        return None
+    n, m = header
+    if n > MAX_VERTICES or m > MAX_EDGES:
+        return None
+    ids = list(range(n))
+    rows = [[] for _ in range(n)]
+    done = read = 0  # rows[:done] are final
+    last = (-1, -1)  # the last line while all are in order, else None
+    for ints in _scan_blocks(text, start, " \n"):
+        if ints is None:
+            return None
+        us, vs = ints[0::2], ints[1::2]
+        read += len(us)
+        if read > m or min(us) < done or max(vs) >= n or not all(map(lt, us, vs)):
+            return None
+        for u, v in zip(us, vs):
+            rows[u].append(ids[v])
+            rows[v].append(ids[u])
+        if last is not None and last < (us[0], vs[0]) and all(
+                map(lt, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None)))):
+            rows[done:us[-1]] = map(tuple, islice(rows, done, us[-1]))
+            done, last = us[-1], (us[-1], vs[-1])
+        else:
+            last = None
+    if read != m:
+        return None
+    if last is not None:
+        rows[done:] = map(tuple, islice(rows, done, None))
+    elif not _finish_rows(rows, done, n):
+        return None
+    return Graph._of_rows(n, tuple(rows))
+
+
+def _finish_rows(rows: list, lo: int, hi: int) -> bool:
+    """Sort rows[lo:hi] into tuples; False when one repeats an entry."""
+    for v in range(lo, hi):
+        row = rows[v]
+        row.sort()
+        rows[v] = row = tuple(row)
+        if len(set(row)) != len(row):
+            return False
+    return True
+
+
+def _read_edge_list_lines(text: str) -> Graph:
+    """The line-by-line reader: each line is checked for shape, order,
+    loops and range as it is read; repeats of an earlier edge are found in
+    the sorted rows, and only then are the lines read again for the line
+    number.  The error reported is the one on the first bad line."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise InputError("line 1: missing header 'n m'")
@@ -256,11 +377,8 @@ def parse_edge_list(text: str) -> Graph:
             _reject_edge_line(i, line, n)
         rows[u].append(ids[v])
         rows[v].append(ids[u])
-    for v, row in enumerate(rows):
-        row.sort()
-        rows[v] = row = tuple(row)
-        if len(set(row)) != len(row):
-            _check_no_repeat(lines, m + 2)  # raises: some edge repeats
+    if not _finish_rows(rows, 0, n):
+        _check_no_repeat(lines, m + 2)  # raises: some edge repeats
     return Graph._of_rows(n, tuple(rows))
 
 

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain, repeat
-from operator import add, sub
+from operator import add, eq, sub
 
 from ._value import Value
 from .errors import InputError
-from .graphs import Graph, regularity
+from .graphs import Graph, _scan_blocks, regularity
 
 MAX_DIAGNOSTICS = 32
 
@@ -379,6 +379,35 @@ def format_eit(schedule: EitSchedule) -> str:
 # ---------------------------------------------------------------------------
 
 def parse_labeling(text: str, n: int) -> Labeling:
+    """The labeling of a text of n lines "v label", one per vertex v.
+
+    The canonical text -- lines "v label" for v = 0..n-1 in order, two
+    decimals without sign or leading zero, one space between and a newline
+    after -- is read in bulk, a block at a time.  Any other text is read
+    again line by line, which reports the first bad line.
+    """
+    values = _scan_labeling(text, n)
+    if values is None:
+        values = _read_labeling_lines(text, n)
+    return Labeling(tuple(values))
+
+
+def _scan_labeling(text: str, n: int) -> list[int] | None:
+    """The labels of a canonical labeling text of n lines, else None."""
+    values = []
+    for ints in _scan_blocks(text, 0, " \n"):
+        if ints is None:
+            return None
+        first, vertices = len(values), ints[0::2]
+        if first + len(vertices) > n or not all(
+                map(eq, vertices, range(first, first + len(vertices)))):
+            return None
+        values += ints[1::2]
+    return values if len(values) == n else None
+
+
+def _read_labeling_lines(text: str, n: int) -> list[int]:
+    """The labels of a labeling text, read and checked line by line."""
     lines = text.splitlines()
     if len(lines) != n:
         raise InputError(f"expected {n} labeling lines, got {len(lines)}")
@@ -398,7 +427,7 @@ def parse_labeling(text: str, n: int) -> Labeling:
             raise InputError(f"line {i}: vertex {v} labeled twice")
         seen_vertices.add(v)
         values[v] = lab
-    return Labeling(tuple(values))
+    return values
 
 
 def format_labeling(labeling: Labeling) -> str:

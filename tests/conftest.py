@@ -3,11 +3,14 @@
 import itertools
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from distmagic.errors import InputError
 from distmagic.graphs import Graph, check_size
 from distmagic.magic import (
     MAX_DIAGNOSTICS,
     Diagnostic,
+    Labeling,
     VerifyReport,
     label_positions,
     verify_distance_magic,
@@ -166,6 +169,14 @@ def verify_balanced_reference(g: Graph, labeling) -> VerifyReport:
     )
 
 
+def parse_outcome(parse, *args):
+    """What parse(*args) returns, or the message of the InputError it raises."""
+    try:
+        return parse(*args)
+    except InputError as exc:
+        return str(exc)
+
+
 def parse_edge_list_reference(text: str) -> Graph:
     """The edge-list parser that checks each line in turn, duplicates against
     a set of every edge read, and builds through the checked Graph(n, rows);
@@ -208,6 +219,110 @@ def parse_edge_list_reference(text: str) -> Graph:
         rows[u].append(v)
         rows[v].append(u)
     return Graph(n, tuple([tuple(sorted(row)) for row in rows]))
+
+
+def parse_labeling_reference(text: str, n: int) -> Labeling:
+    """The labeling reader that checks each line in turn, collects the labels
+    in a dict by vertex and builds through the checked Labeling(values); the
+    oracle for parse_labeling's labelings and error messages."""
+    lines = text.splitlines()
+    if len(lines) != n:
+        raise InputError(f"expected {n} labeling lines, got {len(lines)}")
+    labels = {}
+    for i, line in enumerate(lines, start=1):
+        parts = line.split()
+        if len(parts) != 2:
+            raise InputError(f"line {i}: labeling line must be 'v label', got {line!r}")
+        try:
+            v, lab = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError(f"line {i}: labeling line must be two integers, got {line!r}")
+        if not (0 <= v < n):
+            raise InputError(f"line {i}: vertex {v} out of range [0,{n})")
+        if v in labels:
+            raise InputError(f"line {i}: vertex {v} labeled twice")
+        labels[v] = lab
+    return Labeling(tuple(labels[v] for v in range(n)))
+
+
+def parse_grid_reference(text: str) -> tuple[Labeling, int, int, int]:
+    """The grid reader that checks each line in turn, collects the printed
+    rows and reverses them at the end, with the bijection checked by
+    check_bijection_reference; the oracle for parse_grid's results and error
+    messages."""
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise InputError("line 1: missing grid header 'm n k'")
+    header = lines[0].split()
+    if len(header) != 3:
+        raise InputError(f"line 1: grid header must be 'm n k', got {lines[0]!r}")
+    try:
+        m, n, k = (int(x) for x in header)
+    except ValueError:
+        raise InputError(f"line 1: grid header must be three integers, got {lines[0]!r}")
+    if m < 3 or n < 3:
+        raise InputError(f"line 1: grid dimensions must be cycle lengths >= 3, got m={m} n={n}")
+    try:
+        check_size(m * n)
+    except InputError as exc:
+        raise InputError(f"line 1: {exc}")
+    if len(lines) - 1 != m:
+        raise InputError(f"expected {m} grid rows after the header, got {len(lines) - 1}")
+    printed = []
+    for i, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if len(parts) != n:
+            raise InputError(f"line {i}: expected {n} entries, got {len(parts)}")
+        try:
+            printed.append([int(x) for x in parts])
+        except ValueError:
+            raise InputError(f"line {i}: grid entries must be integers, got {line!r}")
+    values = tuple(x for row in reversed(printed) for x in row)
+    try:
+        check_bijection_reference(m * n, values)
+    except InputError as exc:
+        raise InputError(str(exc).replace(
+            "labeling is not a bijection", f"grid entries are not a bijection onto 1..{m * n}"))
+    return Labeling(values), m, n, k
+
+
+# Spellings of a line that int() and str.split() read as the canonical line
+# does, but that the bulk scan must hand to the line-by-line reader.
+RESPELLINGS = {
+    "leading zero": lambda line: "0" + line,
+    "plus sign": lambda line: "+" + line,
+    "non-ASCII digits": lambda line: line.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    "tab": lambda line: line.replace(" ", "\t"),
+    "double space": lambda line: line.replace(" ", "  "),
+    "trailing space": lambda line: line + " ",
+    "CRLF": lambda line: line + "\r",
+}
+
+
+def respelled(text: str, index: int, how: str) -> str:
+    """text with line `index` respelled as RESPELLINGS[how], or without its
+    final newline when how is "no final newline"."""
+    if how == "no final newline":
+        return text[:-1]
+    lines = text.split("\n")
+    lines[index] = RESPELLINGS[how](lines[index])
+    return "\n".join(lines)
+
+
+@st.composite
+def texts_of_lines(draw, lines: list[str]) -> str:
+    """The text of `lines`, each ended by a newline.  In half the texts,
+    lines are drawn respelled as in RESPELLINGS; in some, the final newline
+    is left out."""
+    spellings = [None] * len(lines)
+    if draw(st.booleans()):
+        how = st.sampled_from([None, None, *sorted(RESPELLINGS)])
+        spellings = draw(st.lists(how, min_size=len(lines), max_size=len(lines)))
+    text = "".join((line if how is None else RESPELLINGS[how](line)) + "\n"
+                   for line, how in zip(lines, spellings))
+    if text and draw(st.integers(0, 7)) == 0:
+        text = text[:-1]
+    return text
 
 
 def check_bijection_reference(n: int, vals: tuple[int, ...]):

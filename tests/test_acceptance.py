@@ -18,7 +18,6 @@ from distmagic.constructors import (
     label_complete_minus_matching,
     label_cycle_product,
     label_direct,
-    label_lexicographic,
 )
 from distmagic.graphs import (
     Graph,
@@ -127,7 +126,7 @@ def test_criterion_3_balanced_constructors():
                 r_h = regularity(h)  # even, since h is balanced
                 order = g.n * h.n
 
-                lab = label_lexicographic(g, h, h_lab)
+                lab = label_direct(g, h, h_lab)
                 base = product(LEXICOGRAPHIC, g, h).base
                 report = verify_balanced(base, lab)
                 assert report.is_balanced

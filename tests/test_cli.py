@@ -345,7 +345,8 @@ UNWRITABLE = ["adir", "missing/c4.lab"]
     + [["verify", "--grid", "repeat.grid"]]  # label 8 twice, 9 missing
     + [["product", "--kind", "direct", "accent.edges", "cycle:3"]]  # UTF-8 bytes in a line
     + [["construct", "--kind", "c4", "--out", out] for out in UNWRITABLE]
-    + [["verify", "--grid", "k0.grid"]],  # distance magic with k = 194, header k = 0
+    + [["verify", "--grid", "k0.grid"]]  # distance magic with k = 194, header k = 0
+    + [["verify", "--grid", "ok.grid", "--graph", "no.edges", "--labeling", "no.lab"]],
 )
 def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -357,6 +358,7 @@ def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "accent.edges").write_bytes(b"2 1\n0 1\xc3\xa9\n")
     grid = constructors.label_cycle_product(8, 12)
     (tmp_path / "k0.grid").write_text(constructors.format_grid(grid, 8, 12, 0))
+    (tmp_path / "ok.grid").write_text(constructors.format_grid(grid, 8, 12, 194))
     (tmp_path / "adir").mkdir()
     status, _, err = run(capsys, *argv)
     assert status == 2
@@ -374,6 +376,9 @@ def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
         )
     if argv[-1] == "k0.grid":
         assert err == "error: line 1: header k=0 disagrees with the grid's magic constant 194\n"
+    if "ok.grid" in argv:
+        # --graph and --labeling were ignored beside --grid
+        assert err == "error: verify takes --grid, or --graph with --labeling, not both\n"
     if argv[-1] in BAD_SPECS:
         # the message names the spec it rejects
         assert repr(argv[-1]) in err

@@ -1,10 +1,21 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_distance_magic, regular_magic_constant
+from conftest import (
+    RESPELLINGS,
+    brute_force_distance_magic,
+    parse_grid_reference,
+    parse_outcome,
+    regular_magic_constant,
+    respelled,
+    texts_of_lines,
+)
 from distmagic.constructors import (
     BALANCED_DISTANCE_MAGIC,
     DISTANCE_MAGIC_NOT_BALANCED,
     NOT_DISTANCE_MAGIC,
+    _scan_grid,
     classify_cycle,
     classify_cycle_cartesian,
     classify_cycle_direct,
@@ -16,11 +27,11 @@ from distmagic.constructors import (
     label_complete_minus_matching,
     label_cycle_product,
     label_direct,
-    label_lexicographic,
     parse_grid,
 )
 from distmagic.errors import InputError
 from distmagic.graphs import (
+    SCAN_BLOCK,
     complete_bipartite,
     complete_minus_matching,
     cycle,
@@ -80,13 +91,13 @@ def test_label_complete_minus_matching_details():
 
 
 def test_label_lexicographic_examples():
-    lab = label_lexicographic(cycle(3), cycle(4), C4_LAB)
+    lab = label_direct(cycle(3), cycle(4), C4_LAB)
     p = product(LEXICOGRAPHIC, cycle(3), cycle(4))
     report = verify_balanced(p.base, lab)
     assert report.is_balanced and report.magic_constant == 65
 
     e2 = empty_graph(2)
-    lab = label_lexicographic(cycle(4), e2, Labeling((1, 2)))
+    lab = label_direct(cycle(4), e2, Labeling((1, 2)))
     p = product(LEXICOGRAPHIC, cycle(4), e2)
     report = verify_balanced(p.base, lab)
     assert report.is_balanced and report.magic_constant == 18
@@ -94,12 +105,12 @@ def test_label_lexicographic_examples():
 
 def test_label_lexicographic_rejects():
     with pytest.raises(InputError, match="regular"):
-        label_lexicographic(path(3), cycle(4), C4_LAB)
+        label_direct(path(3), cycle(4), C4_LAB)
     # odd empty second factor is not balanced, hence rejected
     with pytest.raises(InputError, match="balanced"):
-        label_lexicographic(cycle(4), empty_graph(3), Labeling((1, 2, 3)))
+        label_direct(cycle(4), empty_graph(3), Labeling((1, 2, 3)))
     with pytest.raises(InputError, match="balanced"):
-        label_lexicographic(cycle(4), cycle(4), Labeling((1, 2, 3, 4)))
+        label_direct(cycle(4), cycle(4), Labeling((1, 2, 3, 4)))
 
 
 def test_label_direct_examples():
@@ -118,17 +129,12 @@ def test_label_direct_examples():
     assert verify_balanced(p.base, lab).is_balanced
 
 
-# label_lexicographic is label_direct, so default ids would name both cases
-# after label_direct; these tell them apart by product
-@pytest.mark.parametrize(
-    "build,kind",
-    [(label_lexicographic, LEXICOGRAPHIC), (label_direct, DIRECT)],
-    ids=["label_lexicographic-lexicographic", "label_direct-direct"],
-)
-def test_label_sum_identity(build, kind):
+# one labeling serves both products
+@pytest.mark.parametrize("kind", [LEXICOGRAPHIC, DIRECT])
+def test_label_sum_identity(kind):
     # the twin pair (g_i, h_j), (g_i, h_partner) always sums to |V| + 1
     g, h = cycle(5), cycle(4)
-    lab = build(g, h, C4_LAB)
+    lab = label_direct(g, h, C4_LAB)
     p = product(kind, g, h)
     total = p.base.n + 1
     partner = {v: C4_LAB.values.index(5 - C4_LAB.values[v]) for v in range(4)}
@@ -215,6 +221,69 @@ def test_grid_rejects_non_bijection():
     with pytest.raises(InputError, match=r"^grid entries are not a bijection onto 1\.\.9: "
                        r"duplicate labels \[8\]; missing labels \[9\]$"):
         parse_grid("3 3 20\n7 8 8\n4 5 6\n1 2 3\n")
+
+
+BAD_GRID_ENTRIES = ["x", "-1", "0", "", "1 2"]
+
+
+@st.composite
+def grid_texts(draw):
+    """Grid texts of 2..5 rows and columns: a bijection in rows, with up to
+    two entries replaced by a repeated, out-of-range or malformed entry, an
+    entry or a row perhaps dropped, and a header whose k is arbitrary,
+    spelled in ways only the line-by-line reader reads."""
+    m, n = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    entries = [str(x) for x in draw(st.permutations(range(1, m * n + 1)))]
+    for _ in range(draw(st.integers(0, 2))):
+        bad = st.one_of(st.integers(1, m * n + 1).map(str), st.sampled_from(BAD_GRID_ENTRIES))
+        entries[draw(st.integers(0, m * n - 1))] = draw(bad)
+    rows = [" ".join(entries[i * n : (i + 1) * n]) for i in range(m)]
+    if draw(st.integers(0, 5)) == 0:
+        i = draw(st.integers(0, m - 1))
+        rows[i] = rows[i].rpartition(" ")[0]
+    if draw(st.integers(0, 5)) == 0:
+        del rows[draw(st.integers(0, m - 1))]
+    k = draw(st.integers(0, 60))
+    return draw(texts_of_lines([f"{m} {n} {k}", *rows]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(grid_texts())
+def test_parse_grid_matches_line_by_line_reference(text):
+    assert parse_outcome(parse_grid, text) == parse_outcome(parse_grid_reference, text)
+
+
+# a grid text of several scan blocks; its last line is line 129
+LONG_GRID = label_cycle_product(128, 128)
+
+
+@pytest.mark.parametrize("how", [*RESPELLINGS, "no final newline"])
+def test_respelled_grid_reaches_the_line_reader(how):
+    k = cycle_product_magic_constant(128, 128)
+    text = format_grid(LONG_GRID, 128, 128, k)
+    assert len(text) > SCAN_BLOCK and _scan_grid(text) == (list(LONG_GRID.values), 128, 128, k)
+    text = respelled(text, -2, how)  # the last line, past the first block
+    assert _scan_grid(text) is None
+    assert parse_grid(text) == (LONG_GRID, 128, 128, k)
+
+
+@pytest.mark.parametrize(
+    "edit,error",
+    [
+        (lambda row: row[:-1], "line 129: expected 128 entries, got 127"),
+        (lambda row: ["x", *row[1:]], "line 129: grid entries must be integers, got 'x "),
+        (lambda row: [row[1], *row[1:]], "grid entries are not a bijection onto 1..16384: "
+                                         "duplicate labels [4097]; missing labels [1]"),
+    ],
+    ids=["short row", "malformed entry", "repeated label"],
+)
+def test_grid_error_past_the_first_block(edit, error):
+    text = format_grid(LONG_GRID, 128, 128, 0)
+    head, _, last = text[:-1].rpartition("\n")
+    text = head + "\n" + " ".join(edit(last.split())) + "\n"
+    outcome = parse_outcome(parse_grid, text)
+    assert outcome == parse_outcome(parse_grid_reference, text)
+    assert outcome.startswith(error)
 
 
 def test_cycle_product_grids_pass_the_public_check():

@@ -1,11 +1,23 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import is_bipartite, is_connected, parse_edge_list_reference
+from conftest import (
+    RESPELLINGS,
+    is_bipartite,
+    is_connected,
+    parse_edge_list_reference,
+    parse_outcome,
+    respelled,
+    texts_of_lines,
+)
 from distmagic.errors import InputError
 from distmagic.graphs import (
+    SCAN_BLOCK,
     Graph,
+    _scan_edge_list,
     complete_bipartite,
     complete_minus_matching,
     cycle,
@@ -180,27 +192,87 @@ BAD_EDGE_LINES = ["0 x", "1", "1 2 3", "", "-1 2", " 0   2 "]
 @st.composite
 def edge_list_texts(draw):
     """Edge lists on up to 5 vertices whose lines may repeat an edge, loop,
-    reverse, leave the range or be malformed, in any order."""
+    reverse, leave the range or be malformed, in any order, and may be
+    spelled in ways only the line-by-line reader reads."""
     n = draw(st.integers(min_value=0, max_value=5))
     pair = st.tuples(st.integers(0, 6), st.integers(0, 6)).map(lambda e: f"{e[0]} {e[1]}")
     lines = draw(st.lists(st.one_of(pair, st.sampled_from(BAD_EDGE_LINES)), max_size=12))
     m = len(lines) + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
-    return f"{n} {m}\n" + "".join(line + "\n" for line in lines)
-
-
-def parse_outcome(parse, text):
-    try:
-        return parse(text)
-    except InputError as exc:
-        return str(exc)
+    return draw(texts_of_lines([f"{n} {m}", *lines]))
 
 
 @settings(deadline=None, max_examples=300)
 @given(edge_list_texts())
 @example("3 3\n0 1\n0 1\n1 x\n")
 @example("5 4\n0 1\n2 3\n2 3\n0 5\n")
+@example("3 2\n0 1\n12")  # digits after the last newline
 def test_parse_edge_list_matches_line_by_line_reference(text):
     assert parse_outcome(parse_edge_list, text) == parse_outcome(parse_edge_list_reference, text)
+
+
+# an edge list of several scan blocks; its last line is line 8001
+LONG_CYCLE = cycle(8000)
+
+
+@pytest.mark.parametrize("how", [*RESPELLINGS, "no final newline"])
+def test_respelled_edge_list_reaches_the_line_reader(how):
+    text = format_edge_list(LONG_CYCLE)
+    assert len(text) > SCAN_BLOCK and _scan_edge_list(text) == LONG_CYCLE
+    text = respelled(text, -2, how)  # the last line, past the first block
+    assert _scan_edge_list(text) is None
+    assert parse_edge_list(text) == LONG_CYCLE
+
+
+def test_edge_list_repeat_across_a_block_boundary():
+    text = format_edge_list(LONG_CYCLE).replace("8000 8000", "8000 8001", 1)
+    cut = text.index("\n", text.index("\n") + SCAN_BLOCK) + 1  # the first block's end
+    last = text[text.rindex("\n", 0, cut - 1) + 1 : cut]
+    text = text[:cut] + last + text[cut:]  # the second block starts with a repeat
+    line = text.count("\n", 0, cut) + 1
+    u, v = last.split()
+    error = f"line {line}: duplicate edge ({u},{v})"
+    assert parse_outcome(parse_edge_list, text) == parse_outcome(parse_edge_list_reference, text)
+    assert parse_outcome(parse_edge_list, text) == error
+
+
+def reorder(text: str, how: str) -> str:
+    """The edge list `text` with its edge lines in another order."""
+    header, *lines = text.splitlines()
+    if how == "shuffled":
+        random.Random(1).shuffle(lines)
+    elif how == "last two swapped":
+        lines[-2:] = lines[:-3:-1]
+    else:  # the first line moved past the first block
+        lines = lines[1:] + lines[:1]
+    return "\n".join([header, *lines]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "how,in_bulk",
+    [("shuffled", True), ("last two swapped", True), ("first line moved last", False)],
+)
+def test_edge_list_lines_in_any_order(how, in_bulk):
+    # rows below a block of ascending lines are final at once; a later line
+    # that touches one sends the text to the line-by-line reader
+    text = reorder(format_edge_list(LONG_CYCLE), how)
+    assert (_scan_edge_list(text) == LONG_CYCLE) is in_bulk
+    assert parse_edge_list(text) == LONG_CYCLE
+
+
+@pytest.mark.parametrize(
+    "line,error",
+    [
+        ("7999 7999", "line 8001: self-loop at vertex 7999"),
+        ("7999 7998", "line 8001: endpoints must satisfy u < v, got 7999 7998"),
+        ("7998 8000", "line 8001: vertex 8000 out of range [0,8000)"),
+        ("0 1", "line 8001: duplicate edge (0,1)"),
+        ("7997 7998", "line 8001: duplicate edge (7997,7998)"),
+    ],
+)
+def test_edge_list_error_past_the_first_block(line, error):
+    text = format_edge_list(LONG_CYCLE).replace("7998 7999\n", line + "\n")
+    assert parse_outcome(parse_edge_list, text) == parse_outcome(parse_edge_list_reference, text)
+    assert parse_outcome(parse_edge_list, text) == error
 
 
 def test_serializer_sorted():

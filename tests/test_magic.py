@@ -6,9 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    RESPELLINGS,
     check_bijection_reference,
     enumerate_magic_labelings,
+    parse_labeling_reference,
+    parse_outcome,
     regular_magic_constant,
+    respelled,
+    texts_of_lines,
     verify_balanced_reference,
 )
 from distmagic.constructors import (
@@ -20,6 +25,7 @@ from distmagic.constructors import (
 )
 from distmagic.errors import InputError
 from distmagic.graphs import (
+    SCAN_BLOCK,
     Graph,
     complete_bipartite,
     complete_minus_matching,
@@ -31,6 +37,7 @@ from distmagic.graphs import (
 from distmagic.magic import (
     MAX_DIAGNOSTICS,
     Labeling,
+    _scan_labeling,
     eit_schedule,
     format_labeling,
     parse_labeling,
@@ -409,6 +416,67 @@ def test_labeling_file_roundtrip():
 def test_parse_labeling_errors(text, fragment):
     with pytest.raises(InputError, match=fragment):
         parse_labeling(text, 4)
+
+
+BAD_LABELING_LINES = ["0 x", "1", "1 2 3", "", "-1 2", " 0   2 "]
+
+
+@st.composite
+def labeling_texts(draw):
+    """(n, text) for labelings of up to 6 vertices: the lines of a bijection
+    in vertex order, perhaps shuffled, with up to two lines replaced or
+    inserted that may repeat or skip a vertex, leave the range, break the
+    bijection or be malformed, spelled in ways only the line-by-line reader
+    reads."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    labels = draw(st.permutations(range(1, n + 1)))
+    lines = [f"{v} {x}" for v, x in enumerate(labels)]
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    pair = st.tuples(st.integers(0, 7), st.integers(-1, 8)).map(lambda e: f"{e[0]} {e[1]}")
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines)))
+        line = draw(st.one_of(pair, st.sampled_from(BAD_LABELING_LINES)))
+        if i < len(lines) and draw(st.booleans()):
+            lines[i] = line
+        else:
+            lines.insert(i, line)
+    return n, draw(texts_of_lines(lines))
+
+
+@settings(deadline=None, max_examples=300)
+@given(labeling_texts())
+def test_parse_labeling_matches_line_by_line_reference(n_text):
+    n, text = n_text
+    assert parse_outcome(parse_labeling, text, n) == parse_outcome(parse_labeling_reference, text, n)
+
+
+# a labeling text of several scan blocks; its last line is line 10000
+LONG_LABELING = Labeling(tuple(range(1, 10001)))
+
+
+@pytest.mark.parametrize("how", [*RESPELLINGS, "no final newline"])
+def test_respelled_labeling_reaches_the_line_reader(how):
+    text = format_labeling(LONG_LABELING)
+    assert len(text) > SCAN_BLOCK and _scan_labeling(text, 10000) == list(LONG_LABELING.values)
+    text = respelled(text, -2, how)  # the last line, past the first block
+    assert _scan_labeling(text, 10000) is None
+    assert parse_labeling(text, 10000) == LONG_LABELING
+
+
+@pytest.mark.parametrize(
+    "line,error",
+    [
+        ("9999 x", "line 10000: labeling line must be two integers, got '9999 x'"),
+        ("9998 5", "line 10000: vertex 9998 labeled twice"),
+        ("10000 10000", "line 10000: vertex 10000 out of range [0,10000)"),
+        ("9999 1", "labeling is not a bijection: duplicate labels [1]; missing labels [10000]"),
+    ],
+)
+def test_labeling_error_past_the_first_block(line, error):
+    text = format_labeling(LONG_LABELING).replace("9999 10000\n", line + "\n")
+    outcome = parse_outcome(parse_labeling, text, 10000)
+    assert outcome == parse_outcome(parse_labeling_reference, text, 10000) == error
 
 
 def test_report_rendering():

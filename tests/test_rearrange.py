@@ -1,6 +1,6 @@
 import pytest
 
-from distmagic.constructors import label_c4, label_direct, label_lexicographic
+from distmagic.constructors import label_c4, label_direct
 from distmagic.errors import InputError
 from distmagic.graphs import complete_bipartite, cycle, empty_graph, equal_neighborhood_classes
 from distmagic.magic import Labeling, verify_balanced, weights
@@ -75,7 +75,7 @@ def test_swap_lemma1_rejections():
     with pytest.raises(InputError, match="not twins"):
         swap_lemma1(bl, 0, 5)
     lex = make_balanced(
-        product(LEXICOGRAPHIC, cycle(3), C4), label_lexicographic(cycle(3), C4, C4_LAB)
+        product(LEXICOGRAPHIC, cycle(3), C4), label_direct(cycle(3), C4, C4_LAB)
     )
     with pytest.raises(InputError, match="direct"):
         swap_lemma1(lex, 0, lex.twins[0])
@@ -156,7 +156,7 @@ def test_couple_layers_rejects_edgeless_and_wrong_kind():
     with pytest.raises(InputError, match="no edges"):
         couple_layers(bl)
     lex = make_balanced(
-        product(LEXICOGRAPHIC, cycle(3), C4), label_lexicographic(cycle(3), C4, C4_LAB)
+        product(LEXICOGRAPHIC, cycle(3), C4), label_direct(cycle(3), C4, C4_LAB)
     )
     with pytest.raises(InputError, match="direct"):
         couple_layers(lex)
@@ -231,7 +231,7 @@ def test_extract_rejects_malformed_outcomes():
 def test_lexicographic_closed_layer_extraction():
     g = cycle(5)
     p = product(LEXICOGRAPHIC, g, C4)
-    bl = make_balanced(p, label_lexicographic(g, C4, C4_LAB))
+    bl = make_balanced(p, label_direct(g, C4, C4_LAB))
     outcome = closed_h_layer_outcome(bl)
     assert outcome.tag == CLOSED_H_LAYER and outcome.closed_g == 0
     axis, lab = extract_factor_labeling(bl, outcome)
