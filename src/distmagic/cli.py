@@ -70,8 +70,8 @@ def parse_graph_spec(spec: str) -> Graph:
 
 def _read(path_arg: str) -> str:
     """The ASCII text of a file, with its newlines as written.  The readers
-    scan "\n"-ended lines in bulk and read any other line ends, such as
-    "\r\n", line by line with splitlines(), so newlines need no translation."""
+    scan "\n"- or "\r\n"-ended lines in bulk and read any other line ends
+    line by line with splitlines(), so newlines need no translation."""
     try:
         with open(path_arg, "rb") as fh:
             data = fh.read()

@@ -20,7 +20,8 @@ exhausted memory.
 The text readers here and in `magic` and `constructors` share one bulk scan
 (`_scan_ints`, `_scan_blocks`): a canonical text is read a block of lines at
 a time, each block's integers decoded by one C-level call, so no reader
-holds a list of all lines.  Any other spelling, and any error, sends the
+holds a list of all lines.  Lines may end in "\n" or, all of a block's
+alike, in "\r\n".  Any other spelling, and any error, sends the
 text to the reader's line-by-line path, the only one that names a line in
 its errors.
 """
@@ -223,7 +224,7 @@ def equal_neighborhood_classes(g: Graph) -> list[list[int]]:
 SCAN_BLOCK = 1 << 16
 
 _NO_DIGITS = dict.fromkeys(range(ord("0"), ord("9") + 1))
-_TO_COMMAS = {ord(" "): ",", ord("\n"): ","}
+_TO_COMMAS = {ord(" "): ",", ord("\n"): ",", ord("\r"): None}
 
 
 def _scan_ints(text: str, line_shape: str) -> list[int] | None:
@@ -232,12 +233,15 @@ def _scan_ints(text: str, line_shape: str) -> list[int] | None:
     Canonical means: the text ends with a newline, and deleting the ASCII
     digits leaves `line_shape` (spaces ending in one newline) repeated, so
     every line has the shape's number of tokens, and every token is a
-    decimal without sign or leading zero.  The stdlib JSON decoder reads the
+    decimal without sign or leading zero.  The lines may all end in "\r\n"
+    instead, when the first does.  The stdlib JSON decoder reads the
     tokens as one array in C; it also rejects the empty tokens and leading
     zeros the shape test lets through.  It is imported here, so importing
     the package does not load it.
     """
     rest = text.translate(_NO_DIGITS)
+    if rest.startswith(line_shape[:-1] + "\r"):
+        line_shape = line_shape[:-1] + "\r\n"
     if not text.endswith("\n") or rest != line_shape * (len(rest) // len(line_shape)):
         return None
     import json

@@ -19,14 +19,16 @@ cycles from the grid alone, without building the product graph.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, repeat
-from operator import add, eq, sub
+from itertools import chain, compress, islice, repeat
+from operator import add, eq, ne, sub
 
 from ._value import Value
 from .errors import InputError
 from .graphs import Graph, _scan_blocks, regularity
 
 MAX_DIAGNOSTICS = 32
+# cells per band of rows in which `verify_grid` sums the weights
+WEIGHT_BAND = 1 << 13
 
 
 class Labeling(Value):
@@ -64,12 +66,14 @@ class Labeling(Value):
 def _check_bijection(values, what: str = "labeling is not a bijection"):
     """Reject values that are not a bijection onto {1..len(values)}.
 
-    n distinct values inside 1..n are a bijection, so a valid labeling costs
-    one set and two scans; the duplicate, missing and out-of-range labels are
-    listed after `what` only when that test fails.
+    n values inside 1..n that mark every entry of a table of n bytes are a
+    bijection, so a valid labeling costs two scans and one pass over a
+    table of one byte per label (a set of the labels would take about 48);
+    the duplicate, missing and out-of-range labels are listed after `what`
+    only when that test fails.
     """
     n = len(values)
-    if n and (len(set(values)) != n or min(values) < 1 or max(values) > n):
+    if n and not (min(values) >= 1 and max(values) <= n and _marks_all(values)):
         seen = set()
         duplicates = set()
         for x in values:
@@ -86,6 +90,14 @@ def _check_bijection(values, what: str = "labeling is not a bijection"):
         if out_of_range:
             parts.append(f"labels outside 1..{n}: {out_of_range}")
         raise InputError(f"{what}: " + "; ".join(parts))
+
+
+def _marks_all(values) -> bool:
+    """Whether the values, all inside 1..n, n = len(values), are distinct."""
+    seen = bytearray(len(values) + 1)
+    for x in values:
+        seen[x] = 1
+    return seen.count(0) == 1  # seen[0] alone
 
 
 def label_positions(labeling: Labeling) -> tuple[int, ...]:
@@ -134,13 +146,14 @@ def _check_length(labeling: Labeling, n: int):
         raise InputError(f"labeling has {labeling.n} entries for a graph on {n} vertices")
 
 
-def _weight_report(w: tuple[int, ...], edgeless: bool) -> VerifyReport:
-    """The report of the uniform-weight condition on the weights w."""
+def _weight_report(w, edgeless: bool) -> VerifyReport:
+    """The report of the uniform-weight condition on the weights w, a
+    sequence.  Uniform weights are kept as one int repeated, `(k,) * n`."""
     uniform = len(set(w)) <= 1
     k = (w[0] if w else 0) if uniform else None
     failures, count = _weight_failures(w) if not uniform else ((), 0)
     return VerifyReport(
-        weights=w,
+        weights=(k,) * len(w) if uniform else tuple(w),
         magic_constant=k,
         is_distance_magic=uniform,
         is_balanced=False,
@@ -186,13 +199,15 @@ def verify_balanced(g: Graph, labeling: Labeling) -> VerifyReport:
             twin_failures += len(set(adj[u]).difference(adj[t]))
     failures = list(base.failures)
     if twin_failures and len(failures) < MAX_DIAGNOSTICS:
-        _append_twin_diagnostics(range(n), adj.__getitem__, vals, twins, differs, failures)
+        _append_twin_diagnostics(range(n), adj.__getitem__, vals, twins.__getitem__, differs,
+                                 failures)
     return _twin_report(base, twins, twin_failures, failures)
 
 
 def _twin_report(base: VerifyReport, twins, twin_failures: int, failures) -> VerifyReport:
-    """The weight report base with the twin check's result: the twin map
-    twins, the count of failing pairs and the diagnostics of both checks."""
+    """The weight report base with the twin check's result: the twin map,
+    read from the iterable twins only when balanced, the count of failing
+    pairs and the diagnostics of both checks."""
     balanced = not twin_failures and base.is_distance_magic
     return VerifyReport(
         weights=base.weights,
@@ -206,18 +221,18 @@ def _twin_report(base: VerifyReport, twins, twin_failures: int, failures) -> Ver
     )
 
 
-def _append_twin_diagnostics(ws, row, vals, twins, differs, failures):
+def _append_twin_diagnostics(ws, row, vals, twin, differs, failures):
     """Append failing pairs (w, u) in (w, u) order until MAX_DIAGNOSTICS.
 
     ws runs ascending over the vertices w to scan; it may leave out those
     with no u of `differs` in N(w), as they have no failing pair.  row(v) is
-    N(v), ascending.
+    N(v), ascending, and twin(v) is t(v).
     """
     n = len(vals)
     for w in ws:
         for u in row(w):
             if differs[u]:
-                back = row(twins[u])
+                back = row(twin(u))
                 i = bisect_left(back, w)
                 if i == len(back) or back[i] != w:
                     failures.append(Diagnostic(w, expected=n + 1 - vals[u], actual=vals[u],
@@ -234,38 +249,53 @@ def verify_grid(labeling: Labeling, m: int, n: int) -> VerifyReport:
     report is computed from the grid and equals the product's to the byte:
 
     - weights: the sums over the cells (i±1, j), then over their (·, j±1),
-      each one C-level pass over the grid;
+      a band of whole rows at a time (`_diagonal_sums`);
     - twins: N(u) and N(t) share c_m(di)·c_n(dj) cells, where (di, dj) is
       t - u in grid coordinates and c_L(d) = |{-1, 1} ∩ {d-1, d+1}| on C_L,
       so u has 4 - c_m(di)·c_n(dj) failing pairs;
     - diagnostics: the scan of `verify_balanced`, over the cells next to
       both a row and a column with failing pairs, with each cell's
-      neighbours listed on demand.
+      neighbours and twin worked out on demand.
 
-    Time O(mn) and extra memory O(mn); no adjacency is built.
+    The one table of ints the size of the grid is at[x] = i*w + j, w = 2n,
+    for the cell (i, j) labeled x: the twin of label x is label mn+1-x, so
+    at[mn+1-x] - at[x] = di*w + dj tells the signed (di, dj) apart, and a
+    twin cell is decoded from its code only where it is needed.  Besides
+    it, uniform weights take one reference per cell and the failure counts
+    a byte per cell.  Time O(mn); no adjacency is built.
     """
     if m < 3 or n < 3:
         raise InputError(f"grid sides must be cycle lengths >= 3, got m={m} n={n}")
     size = m * n
     _check_length(labeling, size)
     vals = labeling.values
-    base = _weight_report(_diagonal_sums(vals, n), False)
+    base = _weight_report(_diagonal_sums(vals, m, n), False)
     if size % 2:
         return base
-    pos = label_positions(labeling)
-    twins = [pos[size - x] for x in vals]
-    # code[v] = i*w + j for v = (i, j) with w = 2n, so code[t] - code[u] =
-    # di*w + dj tells the signed (di, dj) apart
     w = 2 * n
-    code = list(chain.from_iterable(map(range, range(0, m * w, w), range(n, m * w, w))))
+    at = [0] * (size + 1)  # at[0] is not a label
+    for c, x in zip(chain.from_iterable(map(range, range(0, m * w, w), range(n, m * w, w))),
+                    vals):
+        at[x] = c
     # failing[di*w + dj]: the failing pairs of a cell whose twin lies (di, dj)
     # away; 4, N(u) and N(t(u)) disjoint, at every offset not listed
     failing = {di * w + dj: 4 - ci * cj
                for di, ci in _overlaps(m).items() for dj, cj in _overlaps(n).items()}
-    differs = list(map(failing.get, map(sub, map(code.__getitem__, twins), code), repeat(4)))
-    twin_failures = sum(differs)
+    # of_label[x]: the failing pairs of the cell labeled x; a label and its
+    # twin have opposite offsets and so equal counts, read for x <= mn/2
+    half = size // 2
+    of_label = bytes(map(failing.get, map(sub, islice(reversed(at), half), islice(at, 1, None)),
+                         repeat(4)))
+    of_label = b"\0" + of_label + of_label[::-1]
+    twin_failures = sum(of_label)
+
+    def twin(v):
+        i, j = divmod(at[size + 1 - vals[v]], w)
+        return i * n + j
+
     failures = list(base.failures)
     if twin_failures and len(failures) < MAX_DIAGNOSTICS:
+        differs = bytes(map(of_label.__getitem__, vals))
 
         def row(v):
             i, j = divmod(v, n)
@@ -277,21 +307,40 @@ def verify_grid(labeling: Labeling, m: int, n: int) -> VerifyReport:
         rows = _next_to([any(differs[r : r + n]) for r in range(0, size, n)])
         cols = _next_to([any(differs[j::n]) for j in range(n)])
         ws = (i * n + j for i in rows for j in cols)
-        _append_twin_diagnostics(ws, row, vals, twins, differs, failures)
-    return _twin_report(base, twins, twin_failures, failures)
+        _append_twin_diagnostics(ws, row, vals, twin, differs, failures)
+    return _twin_report(base, map(twin, range(size)), twin_failures, failures)
 
 
-def _diagonal_sums(vals, n: int) -> tuple[int, ...]:
-    """Sums of vals over the cells (i±1, j±1) of each cell (i, j) of a
-    row-major grid with n columns, both sides cyclic."""
-    # rows i-1 and i+1 are the whole grid shifted by one row
-    vert = list(map(add, vals[-n:] + vals[:-n], vals[n:] + vals[:n]))
-    # columns j-1 and j+1 are it shifted by one cell, mended at the row ends
-    left = vert[-1:] + vert[:-1]
-    left[::n] = vert[n - 1 :: n]
-    right = vert[1:] + vert[:1]
-    right[n - 1 :: n] = vert[::n]
-    return tuple(map(add, left, right))
+def _diagonal_sums(vals, m: int, n: int) -> list[int]:
+    """Sums of vals over the cells (i±1, j±1) of each cell (i, j) of the
+    row-major m x n grid, both sides cyclic.
+
+    They are summed a band of whole rows, about WEIGHT_BAND cells, at a
+    time, and a band whose sums all equal the grid's first sum is stored as
+    that one int repeated: on a magic grid, only one band's sums are int
+    objects of their own at any time.
+    """
+    out = []
+    rows = max(1, WEIGHT_BAND // n)
+    for a in range(0, m, rows):
+        out += _band_sums(vals, m, n, a, min(a + rows, m), out[0] if out else None)
+    return out
+
+
+def _band_sums(vals, m: int, n: int, a: int, b: int, k):
+    """`_diagonal_sums` on the rows a..b-1; `repeat(k, ...)` when they all
+    equal k, k being the first of them when None."""
+    # rows i-1 and i+1 of the band's rows i, wrapped at the grid's ends
+    vert = list(map(add,
+                    vals[(a - 1) * n : (b - 1) * n] if a else vals[-n:] + vals[: (b - 1) * n],
+                    vals[(a + 1) * n : (b + 1) * n] if b < m else vals[(a + 1) * n :] + vals[:n]))
+    # then their columns j-1 and j+1: the cells either side, mended at the row ends
+    sums = [0, *map(add, vert, islice(vert, 2, None)), 0]
+    sums[::n] = map(add, vert[n - 1 :: n], vert[1::n])
+    sums[n - 1 :: n] = map(add, vert[n - 2 :: n], vert[::n])
+    if k is None:
+        k = sums[0]
+    return repeat(k, len(sums)) if sums.count(k) == len(sums) else sums
 
 
 def _next_to(live: list[bool]) -> list[int]:
@@ -310,17 +359,19 @@ def _overlaps(length: int) -> dict[int, int]:
 
 
 def _weight_failures(w):
+    """The first MAX_DIAGNOSTICS weight diagnostics and the failure count:
+    the failures are counted, and only the diagnostics built."""
     # reference value: the most common weight, smallest on ties
     counts = {}
     for x in w:
         counts[x] = counts.get(x, 0) + 1
-    expected = min(sorted(counts), key=lambda x: (-counts[x], x))
-    bad = [(v, x) for v, x in enumerate(w) if x != expected]
+    expected = min(counts, key=lambda x: (-counts[x], x))
+    bad = compress(enumerate(w), map(ne, w, repeat(expected)))
     diags = tuple(
         Diagnostic(v, expected=expected, actual=x, kind="weight")
-        for v, x in bad[:MAX_DIAGNOSTICS]
+        for v, x in islice(bad, MAX_DIAGNOSTICS)
     )
-    return diags, len(bad)
+    return diags, len(w) - counts[expected]
 
 
 # ---------------------------------------------------------------------------

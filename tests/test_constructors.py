@@ -257,6 +257,12 @@ def test_parse_grid_matches_line_by_line_reference(text):
 LONG_GRID = label_cycle_product(128, 128)
 
 
+def test_crlf_grid_is_read_in_bulk():
+    k = cycle_product_magic_constant(128, 128)
+    text = format_grid(LONG_GRID, 128, 128, k).replace("\n", "\r\n")
+    assert _scan_grid(text) == (list(LONG_GRID.values), 128, 128, k)
+
+
 @pytest.mark.parametrize("how", [*RESPELLINGS, "no final newline"])
 def test_respelled_grid_reaches_the_line_reader(how):
     k = cycle_product_magic_constant(128, 128)

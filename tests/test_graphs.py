@@ -223,6 +223,12 @@ def test_respelled_edge_list_reaches_the_line_reader(how):
     assert parse_edge_list(text) == LONG_CYCLE
 
 
+def test_crlf_edge_list_is_read_in_bulk():
+    text = format_edge_list(LONG_CYCLE).replace("\n", "\r\n")
+    assert len(text) > SCAN_BLOCK and _scan_edge_list(text) == LONG_CYCLE
+    assert parse_edge_list(text) == LONG_CYCLE
+
+
 def test_edge_list_repeat_across_a_block_boundary():
     text = format_edge_list(LONG_CYCLE).replace("8000 8000", "8000 8001", 1)
     cut = text.index("\n", text.index("\n") + SCAN_BLOCK) + 1  # the first block's end

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from distmagic.graphs import (
 )
 from distmagic.magic import (
     MAX_DIAGNOSTICS,
+    WEIGHT_BAND,
     Labeling,
     _scan_labeling,
     eit_schedule,
@@ -360,6 +362,58 @@ def test_verify_grid_rejects_mismatched_sizes(labeling, m, n, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("m,n", [(3, 3000), (100, 100), (129, 68)])
+def test_verify_grid_weights_in_bands_match_the_product(m, n):
+    # several bands of whole rows; 129 x 68 ends in a band of fewer rows
+    assert m * n > WEIGHT_BAND
+    g = product(DIRECT, cycle(m), cycle(n)).base
+    rng = random.Random(m * n)
+    labelings = [Labeling(tuple(rng.sample(range(1, m * n + 1), m * n)))]
+    if m % 4 == n % 4 == 0:
+        values = label_cycle_product(m, n).values
+        # uniform in the first band, not in the last
+        labelings += [Labeling(values), Labeling(_swapped(values, m * n - 2, m * n - 1 - n))]
+    for labeling in labelings:
+        report = verify_grid(labeling, m, n)
+        assert report.weights == weights(g, labeling)
+        assert report == verify_balanced(g, labeling)
+
+
+def test_uniform_weights_are_one_int():
+    # k = 386 is past the ints CPython shares anyway
+    g, labeling = product(DIRECT, cycle(12), cycle(16)).base, label_cycle_product(12, 16)
+    for report in (verify_distance_magic(g, labeling), verify_balanced(g, labeling),
+                   verify_grid(labeling, 12, 16)):
+        assert report.magic_constant == 386 and len(report.weights) == 192
+        assert len(set(map(id, report.weights))) == 1
+
+
+def test_verify_grid_extra_memory_per_cell():
+    labeling = label_cycle_product(128, 128)
+    tracemalloc.start()
+    try:
+        verify_grid(labeling, 128, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * 128 * 128
+
+
+def test_weight_diagnostics_are_the_first_failures():
+    g = product(DIRECT, cycle(12), cycle(16)).base
+    rng = random.Random(7)
+    for _ in range(5):
+        labeling = Labeling(tuple(rng.sample(range(1, g.n + 1), g.n)))
+        w = weights(g, labeling)
+        counts = {x: w.count(x) for x in w}
+        expected = min(counts, key=lambda x: (-counts[x], x))
+        bad = [(v, x) for v, x in enumerate(w) if x != expected]
+        report = verify_distance_magic(g, labeling)
+        assert report.failure_count == len(bad) > MAX_DIAGNOSTICS
+        assert [(d.vertex, d.expected, d.actual, d.kind) for d in report.failures] == [
+            (v, expected, x, "weight") for v, x in bad[:MAX_DIAGNOSTICS]]
+
+
 BALANCED_FACTORS = [
     (cycle(4), label_c4()),
     (complete_bipartite(2, 2), label_complete_bipartite(1)),
@@ -453,6 +507,11 @@ def test_parse_labeling_matches_line_by_line_reference(n_text):
 
 # a labeling text of several scan blocks; its last line is line 10000
 LONG_LABELING = Labeling(tuple(range(1, 10001)))
+
+
+def test_crlf_labeling_is_read_in_bulk():
+    text = format_labeling(LONG_LABELING).replace("\n", "\r\n")
+    assert _scan_labeling(text, 10000) == list(LONG_LABELING.values)
 
 
 @pytest.mark.parametrize("how", [*RESPELLINGS, "no final newline"])
