@@ -15,6 +15,9 @@ of v[i][j] are the four diagonal cells v[i+-1][j+-1] with wraparound.  A
 grid is no type of its own: it is the row-major Labeling of the product,
 cell v[i][j] being vertex id = i * n + j, and the grid text format takes the
 sides m and n next to it.
+
+A labeling is checked once, where it enters: the constructors build theirs as
+bijections by construction and do not check them again.
 """
 
 from __future__ import annotations
@@ -102,6 +105,8 @@ def label_direct(g: Graph, h: Graph, h_labeling: Labeling) -> Labeling:
     (j-1)p + i for j <= t/2 and jp - i + 1 for j > t/2 (i is the 1-based
     g-vertex).  The magic constant is (r_g * r_h / 2)(pt + 1) in the direct
     product and (t*r_g + r_h)(pt + 1) / 2 in the lexicographic product.
+    h_labeling is a bijection, so the fibres take each block ((j-1)p, jp] of
+    labels once: the result is a bijection by construction, not checked again.
     """
     if regularity(g) is None:
         raise InputError("the first factor must be regular")
@@ -114,7 +119,7 @@ def label_direct(g: Graph, h: Graph, h_labeling: Labeling) -> Labeling:
         # the fibre of hv: vertices hv, t + hv, ..., (p-1)t + hv in g order
         values[hv::t] = (range((j - 1) * p + 1, j * p + 1) if j <= t // 2
                          else range(j * p, (j - 1) * p, -1))
-    return Labeling(tuple(values))
+    return Labeling._of_values(tuple(values))
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,7 @@ class Graph(Value):
     are valid by construction and skip that check through `Graph._of_rows`.
     """
 
-    _fields = ("n", "adjacency")
-    __slots__ = _fields + ("_edges",)
+    __slots__ = _fields = ("n", "adjacency")
 
     def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...]):
         self._init(n, adjacency)
@@ -114,13 +113,8 @@ class Graph(Value):
 
     @property
     def edges(self) -> frozenset:
-        """Edges as canonical (min, max) pairs, derived from the rows once."""
-        try:
-            return self._edges
-        except AttributeError:
-            edges = frozenset((u, v) for u, row in enumerate(self.adjacency) for v in row if u < v)
-            object.__setattr__(self, "_edges", edges)
-            return edges
+        """Edges as canonical (min, max) pairs, derived from the rows on each call."""
+        return frozenset((u, v) for u, row in enumerate(self.adjacency) for v in row if u < v)
 
     @property
     def edge_count(self) -> int:

@@ -37,9 +37,9 @@ class Labeling(Value):
     `Labeling(values)` checks that values is a tuple (as `Graph` does for
     its rows), that every value is an int (a bool or a float is not) and
     that the values form the bijection.  Builders whose output
-    is one by construction (`label_balanced`, `label_cycle_product`,
-    `parse_grid` after its own check, the lemma swaps and the scramble) skip
-    it through `_of_values`.
+    is one by construction (`label_balanced`, `label_direct`,
+    `label_cycle_product`, `parse_grid` after its own check, the search's
+    witness, the lemma swaps and the scramble) skip it through `_of_values`.
     """
 
     __slots__ = _fields = ("values",)
@@ -410,8 +410,8 @@ def eit_schedule(g: Graph, labeling: Labeling) -> EitSchedule:
             f"EIT export needs a distance magic labeling; {report.failure_count} weight mismatches"
         )
     rows = []
-    for v in range(g.n):
-        opponents = tuple(sorted(labeling.values[u] for u in g.neighbors(v)))
+    for v, row in enumerate(g.adjacency):
+        opponents = tuple(sorted(labeling.values[u] for u in row))
         rows.append(EitRow(v, labeling.values[v], opponents, sum(opponents)))
     rows.sort(key=lambda row: row.strength)
     return EitSchedule(g.n, r, report.magic_constant, tuple(rows))

@@ -13,14 +13,13 @@ neighborhoods, driven by a fixed linear congruential generator
 (x -> 1664525*x + 1013904223 mod 2^32) feeding a Fisher-Yates shuffle, so
 scrambles are reproducible from the seed alone.
 
-Verification contract: make_balanced is the only full check (all weights and
-every vertex's neighborhood against its twin's, O(|E|)).  Steps proven to
-preserve balance -- the lemma swaps and the scramble -- move labels only
-between vertices with one shared neighborhood, so every neighborhood keeps
-its set of labels.  They check that premise locally (O(degree) per swap)
-and carry the twin map forward instead of recomputing it.  couple_layers
-runs one loop that applies lemma 1, then 3, then 2, and verifies its result
-once, on exit, so what it returns is checked end to end.
+Verification contract: a labeling is checked once, where it enters, by
+make_balanced, the only full check (all weights and every vertex's
+neighborhood against its twin's, O(|E|)).  The lemma swaps, the scramble and
+couple_layers, which only chains swaps, move labels only between vertices
+with one shared neighborhood, so every neighborhood keeps its set of labels
+and balance holds by proof.  They check that premise locally (O(degree) per
+swap) and carry the twin map forward; nothing re-verifies their results.
 """
 
 from __future__ import annotations
@@ -91,6 +90,11 @@ def _require(condition, message):
         raise InputError(message)
 
 
+def _require_ids(ids, size, what):
+    for x in ids:
+        _require(0 <= x < size, f"{what} {x} out of range [0,{size})")
+
+
 def swap_lemma1(bl: BalancedProductLabeling, v1: int, v2: int) -> BalancedProductLabeling:
     """Twins (g,h) and (g',h') with g != g' and h != h': exchange the labels of
     (g',h') and (g',h).  The result is balanced with twins (g,h) and (g',h).
@@ -100,6 +104,7 @@ def swap_lemma1(bl: BalancedProductLabeling, v1: int, v2: int) -> BalancedProduc
     """
     prod = bl.product
     _require(prod.kind == DIRECT, "lemma swaps apply to direct products only")
+    _require_ids((v1, v2), prod.base.n, "vertex")
     g1, h1 = prod.decode(v1)
     g2, h2 = prod.decode(v2)
     _require(bl.twins[v1] == v2, f"vertices {v1} and {v2} are not twins")
@@ -117,6 +122,8 @@ def swap_lemma2(bl, g, gp, h, h1, h2) -> BalancedProductLabeling:
     """
     prod = bl.product
     _require(prod.kind == DIRECT, "lemma swaps apply to direct products only")
+    _require_ids((g, gp), prod.gsize, "g coordinate")
+    _require_ids((h, h1, h2), prod.hsize, "h coordinate")
     _require(g != gp, "anchor layers must differ")
     _require(len({h, h1, h2}) == 3, "h, h1, h2 must be pairwise distinct")
     _require(
@@ -135,6 +142,8 @@ def swap_lemma3(bl, g, gp, gpp, h, hp) -> BalancedProductLabeling:
     the labels of (g',h') and (g'',h'), giving twins (g,h') and (g',h')."""
     prod = bl.product
     _require(prod.kind == DIRECT, "lemma swaps apply to direct products only")
+    _require_ids((g, gp, gpp), prod.gsize, "g coordinate")
+    _require_ids((h, hp), prod.hsize, "h coordinate")
     _require(gpp != gp, "g'' must differ from g'")
     _require(g != gp and g != gpp, "g must differ from g' and g''")
     _require(
@@ -204,8 +213,8 @@ def couple_layers(bl: BalancedProductLabeling, on_swap=None):
     every exchange.
 
     Each exchange checks only its lemma's premise (the two vertices share one
-    neighborhood) and carries the twin map forward; the rewritten labeling is
-    verified balanced once, on exit, by make_balanced.
+    neighborhood) and carries the twin map forward, so the rewritten labeling
+    is balanced by the lemmas and is returned without re-verification.
     """
     prod = bl.product
     if prod.kind != DIRECT:
@@ -240,7 +249,7 @@ def couple_layers(bl: BalancedProductLabeling, on_swap=None):
         outcome = CoupleOutcome(CLOSED_H_LAYER, closed_g=min(remaining), swaps=swaps)
     else:
         outcome = CoupleOutcome(COUPLED_PAIRS, pairs=tuple(pairs), swaps=swaps)
-    return make_balanced(prod, bl.labeling), outcome
+    return bl, outcome
 
 
 def closed_h_layer_outcome(bl: BalancedProductLabeling) -> CoupleOutcome:
@@ -323,8 +332,6 @@ def scramble_balanced(bl: BalancedProductLabeling, seed: int) -> BalancedProduct
     rng = _Lcg(seed)
     values = list(bl.labeling.values)
     for cls in equal_neighborhood_classes(bl.product.base):
-        if len(cls) < 2:
-            continue
         labels = [values[v] for v in cls]
         for i in range(len(labels) - 1, 0, -1):  # Fisher-Yates
             j = rng.below(i + 1)

@@ -17,7 +17,8 @@ on Python ints, so the certificate is exact.
 Vertex order is fixed (descending degree, ties by id) and candidate labels
 are tried in ascending order, so the returned witness is the
 lexicographically first label sequence along that vertex order, and runs are
-deterministic.
+deterministic.  The witness takes each label from the unused set once: a
+bijection by construction, it is not checked again.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import gcd
 
 from ._value import Value
 from .errors import InputError
-from .graphs import Graph, regularity
+from .graphs import Graph
 from .magic import Labeling
 
 FOUND = "found"
@@ -97,20 +98,16 @@ def find_distance_magic(g: Graph, budget: SearchBudget | None = None) -> SearchO
     if n == 0:
         return SearchOutcome(FOUND, Labeling(()), 0, stats)
 
-    r = regularity(g)
-    if r is not None and r % 2 == 1:
+    degrees = sorted(map(len, g.adjacency))
+    if degrees[0] == degrees[-1] and degrees[0] % 2 == 1:
         stats.prune("odd_regular")
         return SearchOutcome(EXHAUSTED_NONE, None, None, stats)
-    degrees = sorted(g.degree(v) for v in range(n))
     labels = list(range(1, n + 1))
     low = sum(d * l for d, l in zip(degrees, reversed(labels)))
     high = sum(d * l for d, l in zip(degrees, labels))
-    k_min = -(-low // n)
-    k_max = high // n
-    if k_min > k_max:
-        stats.prune("k_range_empty")
-        return SearchOutcome(EXHAUSTED_NONE, None, None, stats)
-    candidates = range(k_min, k_max + 1)
+    # Never empty: high - low >= (d_max - d_min)(n - 1) spans a multiple of n when
+    # g is irregular, and low = high = r*n(n+1)/2 is one when r is even.
+    candidates = range(-(-low // n), high // n + 1)
 
     pair = kernel_forced_equal(g)
     if pair is not None:
@@ -144,8 +141,8 @@ def kernel_forced_equal(g: Graph) -> tuple[int, int] | None:
     """
     n = g.n
     rows = []
-    for v in range(n):
-        row = dict.fromkeys(g.neighbors(v), 1)
+    for nbrs in g.adjacency:
+        row = dict.fromkeys(nbrs, 1)
         row[n] = -1
         rows.append(row)
     is_pivot = [False] * n
@@ -198,12 +195,12 @@ def _eliminate(row: dict, piv: dict, c: int):
 
 def _search_k(g: Graph, k: int, stats: SearchStats, max_nodes):
     n = g.n
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    adj = [g.neighbors(v) for v in range(n)]
+    adj = g.adjacency
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
 
     assigned = [0] * n  # label of v, 0 = unassigned
     nbr_sum = [0] * n  # sum of assigned labels over N(v)
-    nbr_left = [g.degree(v) for v in range(n)]  # unassigned neighbors of v
+    nbr_left = [len(row) for row in adj]  # unassigned neighbors of v
     unused = [True] * (n + 1)  # unused[l] for labels 1..n
     trail = []  # assignment stack, shared; frames roll back to a mark
     prunes = stats.prunes
@@ -278,7 +275,7 @@ def _search_k(g: Graph, k: int, stats: SearchStats, max_nodes):
         while pos < n and assigned[order[pos]]:
             pos += 1
         if pos == n:
-            return Labeling(tuple(assigned))
+            return Labeling._of_values(tuple(assigned))
         v = order[pos]
         av = adj[v]
         for lab in range(1, n + 1):

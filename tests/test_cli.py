@@ -1,11 +1,11 @@
 import pytest
 
-from distmagic import cli, constructors, magic
+from distmagic import cli, constructors, magic, rearrange
 from distmagic.cli import main
 from distmagic.constructors import label_direct, label_c4
-from distmagic.graphs import cycle, format_edge_list, parse_edge_list
+from distmagic.graphs import complete_bipartite, cycle, format_edge_list, parse_edge_list
 from distmagic.magic import parse_labeling, verify_balanced
-from distmagic.products import product
+from distmagic.products import DIRECT, product
 from test_cli_golden import CONSTRUCT_GOLDEN, PRODUCT_GOLDEN
 
 
@@ -292,6 +292,14 @@ def test_couple_rejects_edgeless_direct_product(capsys):
     assert "product has no edges" in err
 
 
+def test_couple_lexicographic_needs_a_closed_layer(capsys):
+    # an edgeless H leaves every scrambled twin free to leave its layer
+    argv = ["couple", "--kind", "lexicographic", "--g", "cycle:4", "--h", "empty:4", "--seed"]
+    assert run(capsys, *argv, "1") == (2, "", "error: no twin-closed H-layer in this labeling\n")
+    expected = "outcome=closed_H_layer\nclosed_g=1\nswaps=0\nfactor=H\n0 1\n1 2\n2 4\n3 3\n"
+    assert run(capsys, *argv, "4") == (0, expected, "")
+
+
 def test_couple_with_labeling_file(tmp_path, capsys):
     lab = label_direct(cycle(3), cycle(4), label_c4())
     lab_file = tmp_path / "prod.lab"
@@ -391,6 +399,18 @@ def test_input_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
         assert err.startswith("error: line 1: ")
     if "--budget" in argv:
         assert "budget must be positive" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["construct", "--kind", "cycle-product", "--m", "8"], "cycle-product needs --m and --n"),
+    (["construct", "--kind", "complete-bipartite"], "complete-bipartite needs --n (labels K_{2n,2n})"),
+    (["construct", "--kind", "complete-minus-matching"],
+     "complete-minus-matching needs --n (labels K_{2n} minus M)"),
+    (["construct", "--kind", "direct", "--g", "cycle:3"], "direct needs --g and --h"),
+    (["classify", "cycle", "4", "5"], "classify cycle takes one cycle length"),
+])
+def test_missing_arguments_exit_2_with_their_message(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_spec_parsing_kinds(capsys):
@@ -501,3 +521,47 @@ def test_verify_checks_the_bijection_once(tmp_path, monkeypatch, capsys, source)
     if argv[0] == "verify":
         assert "is_distance_magic=true" in out
     assert calls == checked
+
+
+def test_couple_verifies_the_product_once(monkeypatch, capsys):
+    # make_balanced checks the product labeling where it enters; the scramble
+    # and couple_layers carry balance by their lemmas and check nothing again
+    calls = []
+
+    def counted(g, labeling):
+        calls.append(g.n)
+        return check(g, labeling)
+
+    check = rearrange.verify_balanced
+    monkeypatch.setattr(rearrange, "verify_balanced", counted)
+    status, _, _ = run(capsys, "couple", "--kind", "direct", "--g", "cycle:3", "--h", "cycle:4")
+    assert status == 0 and calls == [12]
+    g, h = complete_bipartite(3, 3), cycle(4)
+    bl = rearrange.make_balanced(product(DIRECT, g, h), label_direct(g, h, label_c4()))
+    bl = rearrange.scramble_balanced(bl, 1)
+    calls.clear()
+    _, outcome = rearrange.couple_layers(bl)
+    assert outcome.swaps > 0 and calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--kind", "direct", "--g", "cycle:3", "--h", "cycle:4"],
+    ["construct", "--kind", "lexicographic", "--g", "cycle:3", "--h", "kbip:4,4"],
+    ["search", "--graph", "cycle:4"],
+])
+def test_built_labelings_are_not_checked_again(monkeypatch, capsys, argv):
+    # constructors and the search's witness are bijections by construction
+    calls = []
+
+    def counted(values, *args):
+        calls.append(len(values))
+        return check(values, *args)
+
+    check = magic._check_bijection
+    monkeypatch.setattr(magic, "_check_bijection", counted)
+    monkeypatch.setattr(constructors, "_check_bijection", counted)
+    status, out, _ = run(capsys, *argv)
+    assert status == 0 and out
+    if argv[0] == "search":
+        assert out.startswith("outcome=found\n")
+    assert calls == []

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from distmagic.constructors import (
     classify_lex_cycles,
     cycle_product_magic_constant,
     format_grid,
+    label_balanced,
     label_c4,
     label_complete_bipartite,
     label_complete_minus_matching,
@@ -130,6 +133,18 @@ def test_label_direct_examples():
 
 
 # one labeling serves both products
+def test_label_direct_builds_bijections():
+    # label_direct skips the bijection check: the fibre of the h-vertex
+    # labeled j takes the block ((j-1)p, jp] of labels, each block once
+    gs = [empty_graph(0), empty_graph(3), cycle(3), cycle(4), complete_bipartite(3, 3),
+          complete_minus_matching(6)]
+    hs = [empty_graph(2), cycle(4), complete_bipartite(4, 4), complete_minus_matching(8)]
+    for g in gs:
+        for h in hs:
+            lab = label_direct(g, h, label_balanced(h))
+            assert Labeling(lab.values) == lab
+
+
 @pytest.mark.parametrize("kind", [LEXICOGRAPHIC, DIRECT])
 def test_label_sum_identity(kind):
     # the twin pair (g_i, h_j), (g_i, h_partner) always sums to |V| + 1
@@ -221,6 +236,16 @@ def test_grid_rejects_non_bijection():
     with pytest.raises(InputError, match=r"^grid entries are not a bijection onto 1\.\.9: "
                        r"duplicate labels \[8\]; missing labels \[9\]$"):
         parse_grid("3 3 20\n7 8 8\n4 5 6\n1 2 3\n")
+
+
+@pytest.mark.parametrize("text,error", [
+    ("", "line 1: missing grid header 'm n k'"),
+    ("3 3\n1 2 3\n4 5 6\n7 8 9\n", "line 1: grid header must be 'm n k', got '3 3'"),
+    ("3 3 x\n1 2 3\n4 5 6\n7 8 9\n", "line 1: grid header must be three integers, got '3 3 x'"),
+])
+def test_grid_rejects_bad_header(text, error):
+    with pytest.raises(InputError, match=f"^{re.escape(error)}$"):
+        parse_grid(text)
 
 
 BAD_GRID_ENTRIES = ["x", "-1", "0", "", "1 2"]

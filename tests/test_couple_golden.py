@@ -10,6 +10,7 @@ import hashlib
 import pytest
 
 from distmagic.cli import main, parse_graph_spec
+from distmagic.graphs import complete_bipartite, cycle
 from distmagic.constructors import label_balanced, label_direct
 from distmagic.magic import Labeling
 from distmagic.products import DIRECT, product
@@ -82,6 +83,19 @@ def _golden_inputs():
     for g, h, seed, *_ in COUPLE_GOLDEN + SWAP_TRAIL_GOLDEN:
         h = parse_graph_spec(h)
         yield parse_graph_spec(g), h, label_balanced(h), seed
+
+
+def test_couple_layers_result_is_balanced_without_a_check():
+    # couple_layers returns the labeling and twin map its lemma swaps carried,
+    # unverified; the full check agrees with both, on every golden input and
+    # on the K3,3 x C4 seeds that fire all three lemmas
+    k33, c4 = complete_bipartite(3, 3), cycle(4)
+    inputs = [*_golden_inputs(), *((k33, c4, label_balanced(c4), s) for s in range(40))]
+    for g, h, h_labeling, seed in inputs:
+        p = product(DIRECT, g, h)
+        bl = scramble_balanced(make_balanced(p, label_direct(g, h, h_labeling)), seed)
+        out, _ = couple_layers(bl)
+        assert out == make_balanced(p, out.labeling)
 
 
 def test_scrambles_and_swaps_make_bijections():

@@ -97,6 +97,20 @@ def test_balanced_bipartite_invariants(a):
     assert len(g.edges) == a * a
 
 
+def test_graph_and_generators_reject_bad_sizes():
+    with pytest.raises(InputError, match="^vertex count must be nonnegative, got -1$"):
+        Graph(-1, ())
+    with pytest.raises(InputError, match="^complete bipartite part size b must be >= 1, got b=0$"):
+        complete_bipartite(2, 0)
+
+
+def test_graph_keeps_only_its_fields():
+    # the edge set is built from the rows on each call, not cached on the value
+    g = cycle(5)
+    assert Graph.__slots__ == Graph._fields == ("n", "adjacency")
+    assert g.edges == frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)})
+
+
 def test_from_edges_rejects_loop_and_range():
     with pytest.raises(InputError, match="self-loop"):
         Graph.from_edges(3, [(1, 1)])

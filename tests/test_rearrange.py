@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from distmagic.constructors import label_c4, label_direct
@@ -123,6 +125,33 @@ def test_swap_lemma3_on_scrambled_k33xc4():
     assert_swap_postconditions(bl, after, enc(g, hp), enc(gp, hp))
 
 
+# one accepted call per lemma (G of the direct product G x C4, scramble seed,
+# arguments) and, per argument, the id it is and the size of its range
+V16, G4, G6, H4 = ("vertex", 16), ("g coordinate", 4), ("g coordinate", 6), ("h coordinate", 4)
+LEMMA_CALLS = [
+    (swap_lemma1, C4, 0, (4, 14), (V16, V16)),
+    (swap_lemma2, C4, 9, (1, 3, 1, 0, 2), (G4, G4, H4, H4, H4)),
+    (swap_lemma3, complete_bipartite(3, 3), 1, (0, 1, 2, 2, 0), (G6, G6, G6, H4, H4)),
+]
+OUT_OF_RANGE = [
+    pytest.param(fn, g, seed, args, i, bad, what, size, id=f"{fn.__name__}-arg{i}={bad}")
+    for fn, g, seed, args, ranges in LEMMA_CALLS
+    for i, (what, size) in enumerate(ranges)
+    for bad in (-1, size)
+]
+
+
+@pytest.mark.parametrize("fn,g,seed,args,i,bad,what,size", OUT_OF_RANGE)
+def test_swap_lemmas_reject_ids_out_of_range(fn, g, seed, args, i, bad, what, size):
+    # unchecked, -1 wrapped to the last vertex, layer or h, and an h of hsize
+    # read as h 0 of the next layer, so a swap on ids nobody named went through
+    bl = scramble_balanced(direct_bl(g), seed)
+    fn(bl, *args)
+    bad_args = args[:i] + (bad,) + args[i + 1:]
+    with pytest.raises(InputError, match=re.escape(f"{what} {bad} out of range [0,{size})")):
+        fn(bl, *bad_args)
+
+
 def test_swap_lemma3_rejects_gpp_equal_gp():
     k33 = complete_bipartite(3, 3)
     bl = scramble_balanced(direct_bl(k33), seed=1)
@@ -226,6 +255,17 @@ def test_extract_rejects_malformed_outcomes():
         extract_factor_labeling(bl, CoupleOutcome(COUPLED_PAIRS, pairs=((0, 1),)))
     with pytest.raises(InputError, match="unknown outcome"):
         extract_factor_labeling(bl, CoupleOutcome("nonesuch"))
+
+
+def test_extract_rejects_pairless_and_stale_coupled_pairs():
+    bl = scramble_balanced(direct_bl(C4), seed=2)
+    coupled, outcome = couple_layers(bl)
+    assert outcome.tag == COUPLED_PAIRS
+    with pytest.raises(InputError, match="carries no pairs"):
+        extract_factor_labeling(coupled, CoupleOutcome(COUPLED_PAIRS))
+    # the pairs were coupled by the swaps, so the scramble before them lacks them
+    with pytest.raises(InputError, match=r"stale outcome: twin of \(0,\d\) is not \(2,\d\)"):
+        extract_factor_labeling(bl, outcome)
 
 
 def test_lexicographic_closed_layer_extraction():

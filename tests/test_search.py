@@ -142,6 +142,14 @@ def test_budget_exceeded_is_an_outcome():
     assert outcome.stats.forced_equal is None
 
 
+def test_budget_hit_by_a_forced_assignment():
+    # P3's middle vertex is forced to 3 before any branch (node 1); the first
+    # branch labels vertex 0 (node 2) and forces vertex 2 (node 3), past the cap
+    outcome = find_distance_magic(path(3), SearchBudget(2))
+    assert outcome.tag == BUDGET_EXCEEDED
+    assert outcome.stats.nodes == 3 and outcome.stats.steps == 1
+
+
 def test_budget_must_be_positive():
     for bad in (0, -3):
         with pytest.raises(InputError, match="budget must be positive"):
@@ -198,6 +206,23 @@ def test_kernel_never_fires_on_a_magic_graph(g):
 @given(small_graphs(max_n=10))
 def test_kernel_matches_fraction_reference(g):
     assert kernel_forced_equal(g) == forced_equal_reference(g)
+
+
+@settings(deadline=None, max_examples=500)
+@given(small_graphs(max_n=12))
+def test_candidate_k_range_is_empty_only_on_odd_regular_graphs(g):
+    # n*k = sum(d(v)*l(v)) lies between the rearrangement bounds; with degrees
+    # ascending, high - low >= (d_max - d_min)(n - 1), so the range holds a
+    # multiple of n unless g is r-regular, where low = high = r*n(n+1)/2
+    n = g.n
+    degrees = sorted(len(row) for row in g.adjacency)
+    low = sum(d * l for d, l in zip(degrees, range(n, 0, -1)))
+    high = sum(d * l for d, l in zip(degrees, range(1, n + 1)))
+    r = regularity(g)
+    odd_regular = r is not None and r % 2 == 1
+    assert (-(-low // n) > high // n) == odd_regular
+    if odd_regular:
+        assert find_distance_magic(g).stats.prunes == {"odd_regular": 1}
 
 
 @settings(deadline=None, max_examples=30)
