@@ -361,17 +361,21 @@ def _overlaps(length: int) -> dict[int, int]:
 def _weight_failures(w):
     """The first MAX_DIAGNOSTICS weight diagnostics and the failure count:
     the failures are counted, and only the diagnostics built."""
-    # reference value: the most common weight, smallest on ties
-    counts = {}
-    for x in w:
-        counts[x] = counts.get(x, 0) + 1
-    expected = min(counts, key=lambda x: (-counts[x], x))
+    # reference value: the most common weight, smallest on ties, read off a
+    # sorted copy (one reference per vertex): a longer run must overtake it
+    expected, most = None, 0
+    prev, run = None, 0
+    for x in sorted(w):
+        run = run + 1 if x == prev else 1
+        prev = x
+        if run > most:
+            expected, most = x, run
     bad = compress(enumerate(w), map(ne, w, repeat(expected)))
     diags = tuple(
         Diagnostic(v, expected=expected, actual=x, kind="weight")
         for v, x in islice(bad, MAX_DIAGNOSTICS)
     )
-    return diags, len(w) - counts[expected]
+    return diags, len(w) - most
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ below is admissible, so pruning never changes the found/none answer.
 
 Before any backtracking, the kernel precheck reads the definition as a
 linear system.  A labeling l with constant k solves A*l = k*1, so (l, k)
-lies in the rational null space of [A | -1].  The reduced row echelon form
-writes every coordinate of that space as a fixed combination of the free
-columns; when two vertices u < v get the same combination, every vector of
-the space has l(u) = l(v), so no bijection exists and the search stops with
-`kernel_forced_equal` and the pair (u, v).  The elimination is fraction-free
-on Python ints, so the certificate is exact.
+lies in the rational null space of [A | -1].  Forward elimination and back
+substitution write every coordinate of that space as a fixed combination of
+the free columns; when two vertices u < v get the same combination, every
+vector of the space has l(u) = l(v), so no bijection exists and the search
+stops with `kernel_forced_equal` and the pair (u, v).  The elimination is
+fraction-free on Python ints, so the certificate is exact.
 
 Vertex order is fixed (descending degree, ties by id) and candidate labels
 are tried in ascending order, so the returned witness is the
@@ -23,7 +23,7 @@ bijection by construction, it is not checked again.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from ._value import Value
 from .errors import InputError
@@ -40,8 +40,9 @@ class SearchBudget(Value):
 
     The cap counts backtracking nodes only.  The kernel precheck runs before
     the first node and is not bounded by it.  Its exact elimination takes
-    time about quadratic in n on sparse graphs too (C4000 takes seconds),
-    so a large graph runs long whatever the cap.
+    time about quadratic in n on sparse graphs too (C4000 takes half a
+    second, dense G(200, 0.5) over two), so a large graph runs long
+    whatever the cap.
     """
 
     __slots__ = _fields = ("max_nodes",)
@@ -130,44 +131,55 @@ def kernel_forced_equal(g: Graph) -> tuple[int, int] | None:
     """First pair (u, v), u < v, with l(u) = l(v) on the whole null space
     of [A | -1], v the smallest such vertex; None when there is none.
 
-    Rows are sparse {column: int} dicts, column n standing for k.  Gauss-
-    Jordan elimination runs in column order, pivoting on the first non-pivot
-    row that holds the column, and keeps every row primitive (entries divided
-    by their gcd).  A pivot row d*x_p + sum(c_f * x_f) = 0 over the free
-    columns f then gives x_p the coefficient vector -c / d, stored as the
-    canonical key (d > 0, sorted (f, -c_f) pairs); a free column f has the
-    key (1, ((f, 1),)).  Two coordinates agree on the null space exactly
-    when their keys are equal.
+    Rows are sparse {column: int} dicts, column n standing for k, kept
+    primitive (entries divided by their gcd).  Forward elimination runs in
+    column order: it pivots on the shortest active row that holds the
+    column and clears the column from the other active rows only.  Whether
+    a column is a pivot depends on the column order alone, not on the row
+    chosen.  Back substitution, last pivot first, then writes each pivot
+    column over the free columns as the canonical key (den > 0, sorted
+    (free column, numerator) pairs), numerators and den coprime; a free
+    column f has the key (1, ((f, 1),)).  Two coordinates agree on the null
+    space exactly when their keys are equal.
     """
     n = g.n
-    rows = []
+    active = []
     for nbrs in g.adjacency:
         row = dict.fromkeys(nbrs, 1)
         row[n] = -1
-        rows.append(row)
-    is_pivot = [False] * n
-    pivots = []  # (column, row id)
+        active.append(row)
+    pivots = []  # (column, row)
     for c in range(n + 1):
-        p = next((i for i in range(n) if not is_pivot[i] and c in rows[i]), None)
-        if p is None:
+        holding = [row for row in active if c in row]
+        if not holding:
             continue
-        is_pivot[p] = True
-        pivots.append((c, p))
-        for i in range(n):
-            if i != p and c in rows[i]:
-                _eliminate(rows[i], rows[p], c)
+        piv = min(holding, key=len)
+        pivots.append((c, piv))
+        active = [row for row in active if row is not piv and row]
+        for row in holding:
+            if row is not piv:
+                _eliminate(row, piv, c)
 
-    keys = [(1, ((c, 1),)) for c in range(n)]
-    for c, p in pivots:
-        if c == n:
-            continue
-        row = rows[p]
-        sign = 1 if row[c] > 0 else -1
-        coords = sorted([(f, -sign * x) for f, x in row.items() if f != c])
-        keys[c] = (sign * row[c], tuple(coords))
+    keys = {}  # pivot column -> key
+    for c, row in reversed(pivots):
+        # x_c = sum(row[f] * x_f) / -row[c], each later pivot f written by its
+        # key: num / d over the free columns, then reduced with d > 0
+        d = -row.pop(c)
+        later = [(x, keys[f]) for f, x in row.items() if f in keys]
+        den = lcm(1, *[e for _, (e, _) in later])
+        num = {f: x * den for f, x in row.items() if f not in keys}
+        for x, (e, pairs) in later:
+            x *= den // e
+            for h, y in pairs:
+                num[h] = num.get(h, 0) + x * y
+        d *= den
+        q = gcd(d, *num.values())
+        if d < 0:
+            q = -q
+        keys[c] = (d // q, tuple(sorted([(h, y // q) for h, y in num.items() if y])))
     first = {}
     for v in range(n):
-        u = first.setdefault(keys[v], v)
+        u = first.setdefault(keys.get(v) or (1, ((v, 1),)), v)
         if u != v:
             return u, v
     return None
@@ -177,6 +189,8 @@ def _eliminate(row: dict, piv: dict, c: int):
     """row := (q*row - a*piv) / gcd, which clears column c of row in place."""
     a, q = row[c], piv[c]
     g = gcd(a, q)
+    if q < 0:
+        g = -g  # a row's sign is free: keep the multiplier of row positive
     a, q = a // g, q // g
     if q != 1:
         for f in row:

@@ -116,10 +116,13 @@ def forced_equal_reference(g: Graph):
             continue
         m[r], m[p] = m[p], m[r]
         m[r] = [x / m[r][c] for x in m[r]]
+        support = [(j, x) for j, x in enumerate(m[r]) if x != 0]
         for i in range(n):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f != 0:
+                row = m[i]
+                for j, x in support:
+                    row[j] -= f * x
         pivots.append(c)
     free = [c for c in range(n + 1) if c not in pivots]
     coords = {c: tuple(Fraction(int(c == f)) for f in free) for c in free}

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -412,6 +413,31 @@ def test_weight_diagnostics_are_the_first_failures():
         assert report.failure_count == len(bad) > MAX_DIAGNOSTICS
         assert [(d.vertex, d.expected, d.actual, d.kind) for d in report.failures] == [
             (v, expected, x, "weight") for v, x in bad[:MAX_DIAGNOSTICS]]
+
+
+def test_weight_failures_extra_memory_per_vertex():
+    # A random labeling's report holds n fresh weight ints (32 bytes each) that
+    # a magic one shares; finding the reference weight may add one reference
+    # per vertex.  A dict of the distinct weights would add 46 bytes in all.
+    # Many distinct weights also exercise the tie rule of the reference.
+    g = product(DIRECT, cycle(64), cycle(64)).base
+    labeling = Labeling(tuple(random.Random(3).sample(range(1, g.n + 1), g.n)))
+    peaks = []
+    for lab in (label_cycle_product(64, 64), labeling):
+        tracemalloc.start()
+        try:
+            report = verify_distance_magic(g, lab)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 40 * g.n
+    w = weights(g, labeling)
+    counts = Counter(w)
+    expected = min(counts, key=lambda x: (-counts[x], x))
+    bad = [(v, x) for v, x in enumerate(w) if x != expected]
+    assert report.failure_count == len(bad)
+    assert [(d.vertex, d.expected, d.actual, d.kind) for d in report.failures] == [
+        (v, expected, x, "weight") for v, x in bad[:MAX_DIAGNOSTICS]]
 
 
 BALANCED_FACTORS = [

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +207,51 @@ def test_kernel_never_fires_on_a_magic_graph(g):
 @given(small_graphs(max_n=10))
 def test_kernel_matches_fraction_reference(g):
     assert kernel_forced_equal(g) == forced_equal_reference(g)
+
+
+@st.composite
+def regular_graphs(draw, max_n=16):
+    """An r-regular graph: the circulant with steps 1..r/2 (and n/2 when r
+    is odd), rewired by random double-edge swaps, which keep every degree."""
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    r = draw(st.integers(min_value=1, max_value=n - 1).filter(lambda r: n * r % 2 == 0))
+    steps = list(range(1, r // 2 + 1)) + ([n // 2] if r % 2 else [])
+    edges = sorted({tuple(sorted((v, (v + s) % n))) for v in range(n) for s in steps})
+    present = set(edges)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    for _ in range(2 * len(edges)):
+        i, j = rng.sample(range(len(edges)), 2)
+        (a, b), (c, d) = edges[i], edges[j]
+        ad, cb = tuple(sorted((a, d))), tuple(sorted((c, b)))
+        if len({a, b, c, d}) == 4 and ad not in present and cb not in present:
+            present -= {edges[i], edges[j]}
+            present |= {ad, cb}
+            edges[i], edges[j] = ad, cb
+    return Graph.from_edges(n, edges)
+
+
+# On these graphs the shortest holding row is often not the first one, so the
+# pivot rows differ from those of the reference's elimination.
+@settings(deadline=None, max_examples=200)
+@given(regular_graphs())
+def test_kernel_matches_fraction_reference_on_regular_graphs(g):
+    assert kernel_forced_equal(g) == forced_equal_reference(g)
+
+
+@pytest.mark.parametrize("kind", (DIRECT, CARTESIAN, LEXICOGRAPHIC))
+def test_kernel_matches_fraction_reference_on_cycle_products(kind):
+    for a, b in itertools.product(range(3, 9), repeat=2):
+        g = product(kind, cycle(a), cycle(b)).base
+        assert kernel_forced_equal(g) == forced_equal_reference(g), (a, b)
+
+
+def test_kernel_certificates_at_scale():
+    # Cartesian C32 x C32 (n = 1024) and direct C48 x C48 (n = 2304)
+    outcome = find_distance_magic(product(CARTESIAN, cycle(32), cycle(32)).base, SearchBudget(1))
+    assert outcome.tag == EXHAUSTED_NONE and outcome.stats.nodes == 0
+    assert outcome.stats.forced_equal == (16, 512)
+    assert kernel_forced_equal(product(DIRECT, cycle(48), cycle(48)).base) is None
+    assert classify_cycle_direct(48, 48) != NOT_DISTANCE_MAGIC
 
 
 @settings(deadline=None, max_examples=500)
