@@ -19,11 +19,11 @@ exhausted memory.
 
 The text readers here and in `magic` and `constructors` share one bulk scan
 (`_scan_ints`, `_scan_blocks`): a canonical text is read a block of lines at
-a time, each block's integers decoded by one C-level call, so no reader
-holds a list of all lines.  Lines may end in "\n" or, all of a block's
-alike, in "\r\n".  Any other spelling, and any error, sends the
-text to the reader's line-by-line path, the only one that names a line in
-its errors.
+a time, each block's integers decoded by one C-level call, so it holds no
+list of all lines.  Lines may end in "\n" or, all of a block's alike, in
+"\r\n".  Any other spelling, and any error, sends the text to the reader's
+line-by-line path, the only one that names a line in its errors; that path
+splits the whole text with `splitlines()`.
 """
 
 from __future__ import annotations
@@ -124,10 +124,6 @@ class Graph(Value):
         """Neighbors of v in ascending order."""
         self._check_vertex(v)
         return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self.adjacency[v])
 
     def _check_vertex(self, v: int):
         if not (0 <= v < self.n):

@@ -18,11 +18,14 @@ Vertex order is fixed (descending degree, ties by id) and candidate labels
 are tried in ascending order, so the returned witness is the
 lexicographically first label sequence along that vertex order, and runs are
 deterministic.  The witness takes each label from the unused set once: a
-bijection by construction, it is not checked again.
+bijection by construction, it is not checked again.  Backtracking is one loop
+over an explicit stack of branch frames, not recursion, so no depth of the
+search meets the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import gcd, lcm
 
 from ._value import Value
@@ -39,10 +42,10 @@ class SearchBudget(Value):
     """Node cap for one search; None means unlimited.
 
     The cap counts backtracking nodes only.  The kernel precheck runs before
-    the first node and is not bounded by it.  Its exact elimination takes
-    time about quadratic in n on sparse graphs too (C4000 takes half a
-    second, dense G(200, 0.5) over two), so a large graph runs long
-    whatever the cap.
+    the first node and is not bounded by it.  Its exact elimination is near
+    linear on sparse graphs (C16000 takes about a tenth of a second), but
+    fill-in makes it slow on dense ones (G(200, 0.5) takes two to three
+    seconds), whatever the cap.
     """
 
     __slots__ = _fields = ("max_nodes",)
@@ -136,29 +139,33 @@ def kernel_forced_equal(g: Graph) -> tuple[int, int] | None:
     column order: it pivots on the shortest active row that holds the
     column and clears the column from the other active rows only.  Whether
     a column is a pivot depends on the column order alone, not on the row
-    chosen.  Back substitution, last pivot first, then writes each pivot
-    column over the free columns as the canonical key (den > 0, sorted
-    (free column, numerator) pairs), numerators and den coprime; a free
-    column f has the key (1, ((f, 1),)).  Two coordinates agree on the null
-    space exactly when their keys are equal.
+    chosen.  When column c comes up, no active row holds a column below c,
+    so the rows that hold c are exactly those whose smallest column is c:
+    active rows wait in buckets by smallest column, and a column costs only
+    the rows that hold it.  Back substitution, last pivot first, then writes
+    each pivot column over the free columns as the canonical key (den > 0,
+    sorted (free column, numerator) pairs), numerators and den coprime; a
+    free column f has the key (1, ((f, 1),)).  Two coordinates agree on the
+    null space exactly when their keys are equal.
     """
     n = g.n
-    active = []
+    buckets = {}  # smallest column -> the active rows that start there
     for nbrs in g.adjacency:
         row = dict.fromkeys(nbrs, 1)
         row[n] = -1
-        active.append(row)
+        buckets.setdefault(nbrs[0] if nbrs else n, []).append(row)
     pivots = []  # (column, row)
     for c in range(n + 1):
-        holding = [row for row in active if c in row]
-        if not holding:
+        holding = buckets.pop(c, None)
+        if holding is None:
             continue
         piv = min(holding, key=len)
         pivots.append((c, piv))
-        active = [row for row in active if row is not piv and row]
         for row in holding:
             if row is not piv:
                 _eliminate(row, piv, c)
+                if row:
+                    buckets.setdefault(min(row), []).append(row)
 
     keys = {}  # pivot column -> key
     for c, row in reversed(pivots):
@@ -208,6 +215,11 @@ def _eliminate(row: dict, piv: dict, c: int):
 
 
 def _search_k(g: Graph, k: int, stats: SearchStats, max_nodes):
+    """The first labeling with constant k along the search order, or None.
+
+    Each stack frame (pos, label, trail mark) is one open branch: popping it
+    rolls the trail back to the mark and tries the next unused label at pos.
+    """
     n = g.n
     adj = g.adjacency
     order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
@@ -215,42 +227,38 @@ def _search_k(g: Graph, k: int, stats: SearchStats, max_nodes):
     assigned = [0] * n  # label of v, 0 = unassigned
     nbr_sum = [0] * n  # sum of assigned labels over N(v)
     nbr_left = [len(row) for row in adj]  # unassigned neighbors of v
-    unused = [True] * (n + 1)  # unused[l] for labels 1..n
-    trail = []  # assignment stack, shared; frames roll back to a mark
+    unused = [True] * (n + 2)  # unused[l] for labels 1..n; n + 1 stops the scan
+    trail = []  # assigned vertices in order; a frame rolls back to its mark
     prunes = stats.prunes
 
-    def propagate(units) -> bool:
+    def place(v, lab, work):
+        assigned[v] = lab
+        unused[lab] = False
+        trail.append(v)
+        for u in adj[v]:
+            nbr_sum[u] += lab
+            nbr_left[u] -= 1
+        work.extend(adj[v])
+
+    def propagate(work) -> bool:
         # Single-slot propagation: when all but one neighbor of u is labeled,
         # the last one is pinned to k - nbr_sum[u]; closed neighborhoods must
         # hit k exactly.  Only branches with zero completions are discarded,
         # so exhaustiveness and the lexicographically-first witness survive.
-        nodes = stats.nodes
-        work = list(units)
         while work:
             u = work.pop()
             left = nbr_left[u]
             if left == 0:
                 if nbr_sum[u] != k:
                     prunes["closed_neighborhood"] = prunes.get("closed_neighborhood", 0) + 1
-                    stats.nodes = nodes
                     return False
             elif left == 1:
-                au = adj[u]
-                w = next(x for x in au if not assigned[x])
                 need = k - nbr_sum[u]
                 if need < 1 or need > n or not unused[need]:
                     prunes["forced_unavailable"] = prunes.get("forced_unavailable", 0) + 1
-                    stats.nodes = nodes
                     return False
-                nodes += 1
-                assigned[w] = need
-                unused[need] = False
-                trail.append(w)
-                for x in adj[w]:
-                    nbr_sum[x] += need
-                    nbr_left[x] -= 1
-                work.extend(adj[w])
-        stats.nodes = nodes
+                stats.nodes += 1
+                place(next(x for x in adj[u] if not assigned[x]), need, work)
         return True
 
     def rollback(mark):
@@ -267,12 +275,8 @@ def _search_k(g: Graph, k: int, stats: SearchStats, max_nodes):
         # remaining-label feasibility for every partially labeled neighborhood:
         # fill the open slots with the smallest / largest unused labels
         free = [l for l in range(1, n + 1) if unused[l]]
-        asc = [0]
-        for l in free:
-            asc.append(asc[-1] + l)
-        desc = [0]
-        for l in reversed(free):
-            desc.append(desc[-1] + l)
+        asc = list(accumulate(free, initial=0))
+        desc = list(accumulate(reversed(free), initial=0))
         for v in range(n):
             left = nbr_left[v]
             if left == 0:
@@ -285,45 +289,38 @@ def _search_k(g: Graph, k: int, stats: SearchStats, max_nodes):
                 return False
         return True
 
-    def dfs(pos: int):
+    if not propagate(list(range(n))):
+        return None
+    if max_nodes is not None and stats.nodes > max_nodes:
+        raise _Budget()
+    stack = []  # (pos, label, trail mark) of each open branch
+    pos = 0
+    while True:
         while pos < n and assigned[order[pos]]:
             pos += 1
         if pos == n:
             return Labeling._of_values(tuple(assigned))
-        v = order[pos]
-        av = adj[v]
-        for lab in range(1, n + 1):
-            if not unused[lab]:
-                continue
+        stack.append((pos, 0, len(trail)))
+        while stack:
+            pos, lab, mark = stack.pop()
+            rollback(mark)
+            lab = unused.index(True, lab + 1)
+            if lab > n:
+                continue  # every label failed here: back to the parent branch
             stats.steps += 1
             stats.nodes += 1
             if max_nodes is not None and stats.nodes > max_nodes:
                 raise _Budget()
-            mark = len(trail)
-            assigned[v] = lab
-            unused[lab] = False
-            trail.append(v)
-            for u in av:
-                nbr_sum[u] += lab
-                nbr_left[u] -= 1
-            if propagate(av) and bounds_ok():
+            stack.append((pos, lab, mark))
+            work = []
+            place(order[pos], lab, work)
+            if propagate(work) and bounds_ok():
                 if max_nodes is not None and stats.nodes > max_nodes:
                     raise _Budget()
-                got = dfs(pos + 1)
-                if got is not None:
-                    return got
-            rollback(mark)
-        return None
-
-    if not propagate(range(n)):
-        rollback(0)
-        return None
-    if max_nodes is not None and stats.nodes > max_nodes:
-        raise _Budget()
-    witness = dfs(0)
-    if witness is None:
-        rollback(0)
-    return witness
+                pos += 1
+                break
+        else:
+            return None
 
 
 def check_family(named_graphs, budget: SearchBudget | None = None):

@@ -269,7 +269,7 @@ def graph_and_labeling(draw, max_n=8):
 def test_weight_bookkeeping_identity(gl):
     g, labeling = gl
     total = sum(weights(g, labeling))
-    assert total == sum(g.degree(v) * labeling.values[v] for v in range(g.n))
+    assert total == sum(len(g.neighbors(v)) * labeling.values[v] for v in range(g.n))
 
 
 @settings(deadline=None, max_examples=40)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_distance_magic, forced_equal_reference, regular_magic_constant
+from distmagic.cli import main
 from distmagic.constructors import (
     NOT_DISTANCE_MAGIC,
     classify_cycle_cartesian,
@@ -149,6 +150,35 @@ def test_budget_hit_by_a_forced_assignment():
     outcome = find_distance_magic(path(3), SearchBudget(2))
     assert outcome.tag == BUDGET_EXCEEDED
     assert outcome.stats.nodes == 3 and outcome.stats.steps == 1
+
+
+def test_budget_hit_after_the_initial_propagation():
+    # K_{1,3}: the leaves pin the center to k.  k = 3 fails on its three
+    # branches (nodes 2..4); at k = 4 the initial propagation forces the
+    # center (node 5), past the cap, before any branch
+    outcome = find_distance_magic(complete_bipartite(1, 3), SearchBudget(4))
+    assert outcome.tag == BUDGET_EXCEEDED
+    assert outcome.stats.nodes == 5 and outcome.stats.steps == 3
+
+
+def test_initial_propagation_fails():
+    # P3 plus an isolated vertex: the empty neighborhood weighs 0, while the
+    # degrees allow only k = 2 or 3, so each k fails before its first branch
+    g = Graph.from_edges(4, [(0, 1), (0, 2)])
+    outcome = find_distance_magic(g)
+    assert outcome.tag == EXHAUSTED_NONE
+    assert outcome.stats.prunes == {"closed_neighborhood": 2}
+    assert outcome.stats.nodes == 0
+    assert not brute_force_distance_magic(g)[0]
+
+
+def test_deep_backtracking_has_no_recursion_limit(capsys):
+    # every vertex of an edgeless graph is a branch, one frame deep each
+    outcome = find_distance_magic(empty_graph(1200))
+    assert outcome.tag == FOUND and outcome.magic_constant == 0
+    assert outcome.labeling.values == tuple(range(1, 1201))
+    assert main(["search", "--graph", "empty:1200"]) == 0
+    assert "outcome=found\n" in capsys.readouterr().out
 
 
 def test_budget_must_be_positive():
