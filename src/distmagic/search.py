@@ -12,7 +12,14 @@ substitution write every coordinate of that space as a fixed combination of
 the free columns; when two vertices u < v get the same combination, every
 vector of the space has l(u) = l(v), so no bijection exists and the search
 stops with `kernel_forced_equal` and the pair (u, v).  The elimination is
-fraction-free on Python ints, so the certificate is exact.
+fraction-free on Python ints, so the certificate is exact.  It runs over the
+vertex columns from the last down to the first, then k, with the active rows
+in buckets by their largest column.  Back substitution then writes the
+vertices in ascending order, and the scan stops at the first vertex whose
+combination repeats an earlier one, without writing the higher vertices.
+The column order only chooses which columns are free; whether two
+coordinates agree on the null space does not depend on it, so neither does
+the pair.
 
 Vertex order is fixed (descending degree, ties by id) and candidate labels
 are tried in ascending order, so the returned witness is the
@@ -43,9 +50,10 @@ class SearchBudget(Value):
 
     The cap counts backtracking nodes only.  The kernel precheck runs before
     the first node and is not bounded by it.  Its exact elimination is near
-    linear on sparse graphs (C16000 takes about a tenth of a second), but
-    fill-in makes it slow on dense ones (G(200, 0.5) takes two to three
-    seconds), whatever the cap.
+    linear on sparse graphs (C4000 takes about 9 ms, C16000 40 ms and the
+    edgeless graph on 32000 vertices 55 ms on a 2-core host), but fill-in
+    makes it slow on dense ones (G(200, 0.5) takes about two seconds),
+    whatever the cap.
     """
 
     __slots__ = _fields = ("max_nodes",)
@@ -106,12 +114,6 @@ def find_distance_magic(g: Graph, budget: SearchBudget | None = None) -> SearchO
     if degrees[0] == degrees[-1] and degrees[0] % 2 == 1:
         stats.prune("odd_regular")
         return SearchOutcome(EXHAUSTED_NONE, None, None, stats)
-    labels = list(range(1, n + 1))
-    low = sum(d * l for d, l in zip(degrees, reversed(labels)))
-    high = sum(d * l for d, l in zip(degrees, labels))
-    # Never empty: high - low >= (d_max - d_min)(n - 1) spans a multiple of n when
-    # g is irregular, and low = high = r*n(n+1)/2 is one when r is even.
-    candidates = range(-(-low // n), high // n + 1)
 
     pair = kernel_forced_equal(g)
     if pair is not None:
@@ -119,6 +121,12 @@ def find_distance_magic(g: Graph, budget: SearchBudget | None = None) -> SearchO
         stats.forced_equal = pair
         return SearchOutcome(EXHAUSTED_NONE, None, None, stats)
 
+    labels = list(range(1, n + 1))
+    low = sum(d * l for d, l in zip(degrees, reversed(labels)))
+    high = sum(d * l for d, l in zip(degrees, labels))
+    # Never empty: high - low >= (d_max - d_min)(n - 1) spans a multiple of n when
+    # g is irregular, and low = high = r*n(n+1)/2 is one when r is even.
+    candidates = range(-(-low // n), high // n + 1)
     max_nodes = budget.max_nodes if budget is not None else None
     for k in candidates:
         try:
@@ -134,28 +142,46 @@ def kernel_forced_equal(g: Graph) -> tuple[int, int] | None:
     """First pair (u, v), u < v, with l(u) = l(v) on the whole null space
     of [A | -1], v the smallest such vertex; None when there is none.
 
-    Rows are sparse {column: int} dicts, column n standing for k, kept
-    primitive (entries divided by their gcd).  Forward elimination runs in
-    column order: it pivots on the shortest active row that holds the
-    column and clears the column from the other active rows only.  Whether
-    a column is a pivot depends on the column order alone, not on the row
-    chosen.  When column c comes up, no active row holds a column below c,
-    so the rows that hold c are exactly those whose smallest column is c:
-    active rows wait in buckets by smallest column, and a column costs only
-    the rows that hold it.  Back substitution, last pivot first, then writes
-    each pivot column over the free columns as the canonical key (den > 0,
-    sorted (free column, numerator) pairs), numerators and den coprime; a
-    free column f has the key (1, ((f, 1),)).  Two coordinates agree on the
-    null space exactly when their keys are equal.
+    The keys come in ascending vertex order, so the scan stops at the first
+    repeat and the keys of the higher vertices are never computed.
+    """
+    first = {}
+    for v, key in enumerate(_kernel_keys(g)):
+        u = first.setdefault(key, v)
+        if u != v:
+            return u, v
+    return None
+
+
+def _kernel_keys(g: Graph):
+    """Yield the key of each vertex, in ascending vertex order: it writes
+    l(v) over the free columns of the null space of [A | -1].
+
+    Rows are sparse {column: int} dicts, column -1 standing for k, kept
+    primitive (entries divided by their gcd).  Forward elimination runs over
+    the columns n - 1 down to 0, then k: it pivots on the shortest active row
+    that holds the column and clears the column from the other active rows
+    only.  Whether a column is a pivot depends on the column order alone, not
+    on the row chosen.  When column c comes up, no active row holds a column
+    above c, so the rows that hold c are exactly those whose largest column
+    is c: active rows wait in buckets by largest column, and a column costs
+    only the rows that hold it.  Each pivot row then holds only columns below
+    its pivot, so back substitution, last pivot first, meets the vertices in
+    ascending order.  It writes each pivot column over the free columns as
+    the canonical key (den > 0, sorted (free column, numerator) pairs),
+    numerators and den coprime; a free column f has the key (1, ((f, 1),)).
+    Two coordinates agree on the null space exactly when their keys are
+    equal, and that does not depend on the column order, which only chooses
+    the free columns: so the first equal pair does not depend on it either.
     """
     n = g.n
-    buckets = {}  # smallest column -> the active rows that start there
+    buckets = {}  # largest column -> the active rows that end there
     for nbrs in g.adjacency:
         row = dict.fromkeys(nbrs, 1)
-        row[n] = -1
-        buckets.setdefault(nbrs[0] if nbrs else n, []).append(row)
+        row[-1] = -1
+        buckets.setdefault(nbrs[-1] if nbrs else -1, []).append(row)
     pivots = []  # (column, row)
-    for c in range(n + 1):
+    for c in range(n - 1, -2, -1):
         holding = buckets.pop(c, None)
         if holding is None:
             continue
@@ -165,17 +191,18 @@ def kernel_forced_equal(g: Graph) -> tuple[int, int] | None:
             if row is not piv:
                 _eliminate(row, piv, c)
                 if row:
-                    buckets.setdefault(min(row), []).append(row)
+                    buckets.setdefault(max(row), []).append(row)
 
     keys = {}  # pivot column -> key
+    v = 0  # the next vertex to yield
     for c, row in reversed(pivots):
-        # x_c = sum(row[f] * x_f) / -row[c], each later pivot f written by its
+        # x_c = sum(row[f] * x_f) / -row[c], each lower pivot f written by its
         # key: num / d over the free columns, then reduced with d > 0
         d = -row.pop(c)
-        later = [(x, keys[f]) for f, x in row.items() if f in keys]
-        den = lcm(1, *[e for _, (e, _) in later])
+        lower = [(x, keys[f]) for f, x in row.items() if f in keys]
+        den = lcm(1, *[e for _, (e, _) in lower])
         num = {f: x * den for f, x in row.items() if f not in keys}
-        for x, (e, pairs) in later:
+        for x, (e, pairs) in lower:
             x *= den // e
             for h, y in pairs:
                 num[h] = num.get(h, 0) + x * y
@@ -183,13 +210,14 @@ def kernel_forced_equal(g: Graph) -> tuple[int, int] | None:
         q = gcd(d, *num.values())
         if d < 0:
             q = -q
-        keys[c] = (d // q, tuple(sorted([(h, y // q) for h, y in num.items() if y])))
-    first = {}
-    for v in range(n):
-        u = first.setdefault(keys.get(v) or (1, ((v, 1),)), v)
-        if u != v:
-            return u, v
-    return None
+        keys[c] = key = (d // q, tuple(sorted([(h, y // q) for h, y in num.items() if y])))
+        if c >= 0:  # k, the first pivot when it is one, is no vertex
+            for f in range(v, c):
+                yield 1, ((f, 1),)
+            yield key
+            v = c + 1
+    for f in range(v, n):
+        yield 1, ((f, 1),)
 
 
 def _eliminate(row: dict, piv: dict, c: int):

@@ -78,6 +78,11 @@ def test_kernel_pair_is_the_first_forced_vertex():
     assert kernel_forced_equal(path(3)) is None
     # edgeless graphs: k = 0 and every label is free
     assert kernel_forced_equal(empty_graph(3)) is None
+    # pairs that end the vertex order: no earlier vertex repeats a key
+    g = Graph.from_edges(6, [(0, 5), (1, 5), (2, 4), (3, 4), (3, 5)])
+    assert kernel_forced_equal(g) == (4, 5)
+    g = Graph.from_edges(7, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 6), (2, 5), (3, 6), (4, 5)])
+    assert kernel_forced_equal(g) == (5, 6)
 
 
 def test_kernel_keys_keep_their_denominator():
@@ -85,6 +90,14 @@ def test_kernel_keys_keep_their_denominator():
     # l(3) = k/2.  Vertices 0 and 1 share numerators but not denominators.
     g = Graph.from_edges(5, [(0, 2), (0, 3), (2, 3), (1, 4)])
     assert kernel_forced_equal(g) == (0, 2)
+    # Triangle 2-3-4, 0 joined to 3 and 4, 1 hanging from 2: l(3) = l(4) =
+    # k/2, l(0) = -k/2, l(2) = k and l(1) = 0, keys over the denominator 2.
+    g = Graph.from_edges(5, [(0, 3), (0, 4), (1, 2), (2, 3), (2, 4), (3, 4)])
+    assert kernel_forced_equal(g) == (3, 4)
+    # Triangle 1-2-3, 0 joined to 1, 4 hanging from 0: l(0) = l(1) = k and
+    # l(2) = l(3) = l(4) = 0.
+    g = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3)])
+    assert kernel_forced_equal(g) == (0, 1)
 
 
 def _product_is_magic(kind, a, b):
@@ -233,9 +246,17 @@ def test_kernel_never_fires_on_a_magic_graph(g):
         assert not brute_force_distance_magic(g)[0]
 
 
+def _ids_reversed(g):
+    """The copy of g with vertex v renamed n - 1 - v."""
+    n = g.n
+    return Graph.from_edges(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges])
+
+
 @settings(deadline=None, max_examples=300)
 @given(small_graphs(max_n=10))
 def test_kernel_matches_fraction_reference(g):
+    assert kernel_forced_equal(g) == forced_equal_reference(g)
+    g = _ids_reversed(g)
     assert kernel_forced_equal(g) == forced_equal_reference(g)
 
 
@@ -266,6 +287,8 @@ def regular_graphs(draw, max_n=16):
 @given(regular_graphs())
 def test_kernel_matches_fraction_reference_on_regular_graphs(g):
     assert kernel_forced_equal(g) == forced_equal_reference(g)
+    g = _ids_reversed(g)
+    assert kernel_forced_equal(g) == forced_equal_reference(g)
 
 
 @pytest.mark.parametrize("kind", (DIRECT, CARTESIAN, LEXICOGRAPHIC))
@@ -273,6 +296,8 @@ def test_kernel_matches_fraction_reference_on_cycle_products(kind):
     for a, b in itertools.product(range(3, 9), repeat=2):
         g = product(kind, cycle(a), cycle(b)).base
         assert kernel_forced_equal(g) == forced_equal_reference(g), (a, b)
+        g = _ids_reversed(g)
+        assert kernel_forced_equal(g) == forced_equal_reference(g), (a, b, "reversed")
 
 
 def test_kernel_certificates_at_scale():
