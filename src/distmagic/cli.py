@@ -303,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         help="cap on backtracking nodes, not on the kernel precheck before them, "
-        "which is fast on sparse graphs but slow on dense ones (2-3 s on 200 "
-        "vertices of edge density 0.5); omitted means unlimited",
+        "which is fast on sparse graphs but slow on dense ones (about two seconds "
+        "on 200 vertices of edge density 0.5); omitted means unlimited",
     )
     p.add_argument("--out")
     p.set_defaults(fn=cmd_search)

@@ -102,15 +102,7 @@ def swap_lemma1(bl: BalancedProductLabeling, v1: int, v2: int) -> BalancedProduc
     Valid because in a direct product N(g,h) = N(g',h') = N(g',h) = N(g,h'),
     so the exchange moves labels between vertices with one shared neighborhood.
     """
-    prod = bl.product
-    _require(prod.kind == DIRECT, "lemma swaps apply to direct products only")
-    _require_ids((v1, v2), prod.base.n, "vertex")
-    g1, h1 = prod.decode(v1)
-    g2, h2 = prod.decode(v2)
-    _require(bl.twins[v1] == v2, f"vertices {v1} and {v2} are not twins")
-    _require(g1 != g2, "twin pair lies in one H-layer (G-coordinates equal)")
-    _require(h1 != h2, "twin pair already aligned (H-coordinates equal)")
-    return _exchange(bl, v2, prod.encode(g2, h1))
+    return _exchange(bl, *_lemma1(bl, v1, v2))
 
 
 def swap_lemma2(bl, g, gp, h, h1, h2) -> BalancedProductLabeling:
@@ -120,6 +112,31 @@ def swap_lemma2(bl, g, gp, h, h1, h2) -> BalancedProductLabeling:
     h, h1, h2 are required pairwise distinct (the in-layer pair cannot involve
     the anchor coordinate, and h1 = h2 would be a vertex twinned with itself).
     """
+    return _exchange(bl, *_lemma2(bl, g, gp, h, h1, h2))
+
+
+def swap_lemma3(bl, g, gp, gpp, h, hp) -> BalancedProductLabeling:
+    """Twins (g,h),(g',h) and twins (g,h'),(g'',h') with g'' != g': exchange
+    the labels of (g',h') and (g'',h'), giving twins (g,h') and (g',h')."""
+    return _exchange(bl, *_lemma3(bl, g, gp, gpp, h, hp))
+
+
+# Each _lemmaN checks the premises of swap_lemmaN and returns the pair of
+# vertices whose labels it exchanges; couple_layers reads the pair too.
+
+def _lemma1(bl, v1, v2) -> tuple[int, int]:
+    prod = bl.product
+    _require(prod.kind == DIRECT, "lemma swaps apply to direct products only")
+    _require_ids((v1, v2), prod.base.n, "vertex")
+    g1, h1 = prod.decode(v1)
+    g2, h2 = prod.decode(v2)
+    _require(bl.twins[v1] == v2, f"vertices {v1} and {v2} are not twins")
+    _require(g1 != g2, "twin pair lies in one H-layer (G-coordinates equal)")
+    _require(h1 != h2, "twin pair already aligned (H-coordinates equal)")
+    return v2, prod.encode(g2, h1)
+
+
+def _lemma2(bl, g, gp, h, h1, h2) -> tuple[int, int]:
     prod = bl.product
     _require(prod.kind == DIRECT, "lemma swaps apply to direct products only")
     _require_ids((g, gp), prod.gsize, "g coordinate")
@@ -134,12 +151,10 @@ def swap_lemma2(bl, g, gp, h, h1, h2) -> BalancedProductLabeling:
         bl.twins[prod.encode(g, h1)] == prod.encode(g, h2),
         f"({g},{h1}) and ({g},{h2}) are not twins",
     )
-    return _exchange(bl, prod.encode(g, h2), prod.encode(gp, h1))
+    return prod.encode(g, h2), prod.encode(gp, h1)
 
 
-def swap_lemma3(bl, g, gp, gpp, h, hp) -> BalancedProductLabeling:
-    """Twins (g,h),(g',h) and twins (g,h'),(g'',h') with g'' != g': exchange
-    the labels of (g',h') and (g'',h'), giving twins (g,h') and (g',h')."""
+def _lemma3(bl, g, gp, gpp, h, hp) -> tuple[int, int]:
     prod = bl.product
     _require(prod.kind == DIRECT, "lemma swaps apply to direct products only")
     _require_ids((g, gp, gpp), prod.gsize, "g coordinate")
@@ -154,7 +169,7 @@ def swap_lemma3(bl, g, gp, gpp, h, hp) -> BalancedProductLabeling:
         bl.twins[prod.encode(g, hp)] == prod.encode(gpp, hp),
         f"({g},{hp}) and ({gpp},{hp}) are not twins",
     )
-    return _exchange(bl, prod.encode(gp, hp), prod.encode(gpp, hp))
+    return prod.encode(gp, hp), prod.encode(gpp, hp)
 
 
 class CoupleOutcome(Value):
@@ -180,21 +195,22 @@ def _layer_closed(bl: BalancedProductLabeling, g: int) -> bool:
 
 
 def _next_swap(prod: ProductGraph, state, g: int, gp: int):
-    """The next exchange coupling layer g with g' as (lemma, arguments, name),
-    or None if no lemma applies; state[h] is the twin of (g,h).  Lemma 1 aligns
-    a twin outside layer g, lemma 3 pulls an aligned twin from a third layer
-    into g', lemma 2 splits a pair inside g, each on the smallest h admitting
-    it; lemmas 3 and 2 anchor on the smallest h twinned with (g',h)."""
+    """The next exchange coupling layer g with g' as (_lemmaN, arguments,
+    name), or None if no lemma applies; state[h] is the twin of (g,h).
+    Lemma 1 aligns a twin outside layer g, lemma 3 pulls an aligned twin from
+    a third layer into g', lemma 2 splits a pair inside g, each on the
+    smallest h admitting it; lemmas 3 and 2 anchor on the smallest h twinned
+    with (g',h)."""
     for h, (tg, th) in enumerate(state):
         if tg != g and th != h:
-            return swap_lemma1, (prod.encode(g, h), prod.encode(tg, th)), "lemma1"
+            return _lemma1, (prod.encode(g, h), prod.encode(tg, th)), "lemma1"
     anchor = next(h for h, twin in enumerate(state) if twin == (gp, h))
     for h, (tg, th) in enumerate(state):
         if th == h and tg not in (g, gp):
-            return swap_lemma3, (g, gp, tg, anchor, h), "lemma3"
+            return _lemma3, (g, gp, tg, anchor, h), "lemma3"
     for h, (tg, th) in enumerate(state):
         if tg == g and th != h:
-            return swap_lemma2, (g, gp, anchor, min(h, th), max(h, th)), "lemma2"
+            return _lemma2, (g, gp, anchor, min(h, th), max(h, th)), "lemma2"
     return None
 
 
@@ -215,6 +231,12 @@ def couple_layers(bl: BalancedProductLabeling, on_swap=None):
     Each exchange checks only its lemma's premise (the two vertices share one
     neighborhood) and carries the twin map forward, so the rewritten labeling
     is balanced by the lemmas and is returned without re-verification.
+
+    Layer g's twins are decoded once, when g is taken.  An exchange of a and b
+    changes only the twins of a, b and their old twins, so after each swap
+    at most those four rows of layer g are decoded again, not all |V(H)|.
+    A swap still scans the layer (O(|V(H)|)) to pick the next lemma and to
+    test for alignment, and copies the labeling and twin tuples (O(|V|)).
     """
     prod = bl.product
     if prod.kind != DIRECT:
@@ -223,24 +245,31 @@ def couple_layers(bl: BalancedProductLabeling, on_swap=None):
         # an isolated vertex forces k = 0: only edgeless twins lack equal factor neighborhoods
         raise InputError("product has no edges; twin structure is undefined")
 
+    decode, hsize = prod.decode, prod.hsize
     swaps = 0
     remaining = set(range(prod.gsize))
     pairs = []
     while remaining:
         g = min(remaining)
-        gp = next((tg for tg, _ in _layer_twins(bl, g) if tg != g), None)
+        state = _layer_twins(bl, g)  # state[h] is the twin of (g,h), kept current
+        gp = next((tg for tg, _ in state if tg != g), None)
         if gp is None:
             break  # layer g is twin-closed
         assert gp in remaining
-        aligned = [(gp, h) for h in range(prod.hsize)]
-        while (state := _layer_twins(bl, g)) != aligned:
+        lo = prod.encode(g, 0)
+        aligned = [(gp, h) for h in range(hsize)]
+        while state != aligned:
             step = _next_swap(prod, state, g, gp)
             if step is None:
                 raise AssertionError("uncovered twin configuration while coupling")
-            fn, args, lemma = step
-            new = fn(bl, *args)
+            lemma_pair, args, lemma = step
+            a, b = lemma_pair(bl, *args)
+            new = _exchange(bl, a, b)
             if on_swap is not None:
                 on_swap(bl, new, lemma)
+            for v in {a, b, bl.twins[a], bl.twins[b]}:
+                if lo <= v < lo + hsize:
+                    state[v - lo] = decode(new.twins[v])
             bl, swaps = new, swaps + 1
         remaining -= {g, gp}
         pairs.append((g, gp))

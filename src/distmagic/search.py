@@ -260,13 +260,19 @@ def _search_k(g: Graph, k: int, stats: SearchStats, max_nodes):
     prunes = stats.prunes
 
     def place(v, lab, work):
+        # A neighbor is pushed only when one slot or none is left.  An entry
+        # pushed with two or more left acts at its pop only if later placements
+        # changed u; the last of them pushed u again above it, and that entry
+        # is popped first, in the state the older one would see.
         assigned[v] = lab
         unused[lab] = False
         trail.append(v)
         for u in adj[v]:
             nbr_sum[u] += lab
-            nbr_left[u] -= 1
-        work.extend(adj[v])
+            left = nbr_left[u] - 1
+            nbr_left[u] = left
+            if left < 2:
+                work.append(u)
 
     def propagate(work) -> bool:
         # Single-slot propagation: when all but one neighbor of u is labeled,

@@ -16,6 +16,14 @@ from distmagic.magic import (
     verify_distance_magic,
 )
 from distmagic.products import DIRECT, CARTESIAN
+from distmagic.rearrange import (
+    CLOSED_H_LAYER,
+    COUPLED_PAIRS,
+    CoupleOutcome,
+    swap_lemma1,
+    swap_lemma2,
+    swap_lemma3,
+)
 
 
 def brute_force_distance_magic(g: Graph):
@@ -417,3 +425,55 @@ def label_complete_minus_matching_reference(a: int) -> tuple[int, ...]:
     """The closed-form balanced labeling of K_{2a} minus {(2i, 2i+1)}: the
     endpoints of the i-th removed edge (1-based) get i and 2a+1-i."""
     return tuple(x for i in range(1, a + 1) for x in (i, 2 * a + 1 - i))
+
+
+def couple_layers_reference(bl, on_swap=None):
+    """The coupling loop that decodes all of layer g's twins again after
+    every swap and exchanges through the public swap_lemma1..3; the oracle
+    for couple_layers' result, outcome and on_swap trail.  It picks the swaps
+    by the same rule (lemma 1, then 3, then 2, each on the smallest h), so
+    both make the same exchanges in the same order."""
+    prod = bl.product
+    if prod.kind != DIRECT:
+        raise InputError("coupling applies to direct products only")
+    if prod.base.edge_count == 0:
+        raise InputError("product has no edges; twin structure is undefined")
+
+    def layer_twins(bl, g):
+        lo = prod.encode(g, 0)
+        return [prod.decode(t) for t in bl.twins[lo : lo + prod.hsize]]
+
+    def next_swap(state, g, gp):
+        for h, (tg, th) in enumerate(state):
+            if tg != g and th != h:
+                return swap_lemma1, (prod.encode(g, h), prod.encode(tg, th)), "lemma1"
+        anchor = next(h for h, twin in enumerate(state) if twin == (gp, h))
+        for h, (tg, th) in enumerate(state):
+            if th == h and tg not in (g, gp):
+                return swap_lemma3, (g, gp, tg, anchor, h), "lemma3"
+        for h, (tg, th) in enumerate(state):
+            if tg == g and th != h:
+                return swap_lemma2, (g, gp, anchor, min(h, th), max(h, th)), "lemma2"
+        return None
+
+    swaps = 0
+    remaining = set(range(prod.gsize))
+    pairs = []
+    while remaining:
+        g = min(remaining)
+        gp = next((tg for tg, _ in layer_twins(bl, g) if tg != g), None)
+        if gp is None:
+            break
+        aligned = [(gp, h) for h in range(prod.hsize)]
+        while (state := layer_twins(bl, g)) != aligned:
+            fn, args, lemma = next_swap(state, g, gp)
+            new = fn(bl, *args)
+            if on_swap is not None:
+                on_swap(bl, new, lemma)
+            bl, swaps = new, swaps + 1
+        remaining -= {g, gp}
+        pairs.append((g, gp))
+
+    if remaining:
+        return bl, CoupleOutcome(CLOSED_H_LAYER, closed_g=min(remaining), swaps=swaps)
+    return bl, CoupleOutcome(COUPLED_PAIRS, pairs=tuple(pairs), swaps=swaps)

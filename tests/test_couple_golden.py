@@ -16,6 +16,8 @@ from distmagic.magic import Labeling
 from distmagic.products import DIRECT, product
 from distmagic.rearrange import couple_layers, make_balanced, scramble_balanced
 
+from conftest import couple_layers_reference
+
 COUPLE_GOLDEN = [
     ("cycle:4", "cycle:4", 1, "outcome=closed_H_layer\nclosed_g=1\nswaps=2\nfactor=H\n0 1\n1 2\n2 4\n3 3\n"),
     ("cycle:4", "cycle:4", 2, "outcome=coupled_pairs\npairs=0-2,1-3\nswaps=4\nfactor=G\n0 1\n1 2\n2 4\n3 3\n"),
@@ -113,3 +115,27 @@ def test_scrambles_and_swaps_make_bijections():
         assert Labeling(bl.labeling.values) == bl.labeling
         couple_layers(bl, on_swap=on_swap)
     assert {"lemma1", "lemma2", "lemma3"} <= set(swaps)
+
+
+def test_couple_layers_matches_the_rescanning_reference():
+    # couple_layers keeps layer g's decoded twins current after each swap; the
+    # reference decodes the whole layer again.  Same result, outcome and trail
+    # on every golden factor pair, on K3,3 x C4 (all three lemmas fire) and on
+    # C_m x C4, m = 3..8, each under scramble seeds 0..29
+    factor_pairs = {(g, h) for g, h, *_ in COUPLE_GOLDEN + SWAP_TRAIL_GOLDEN}
+    factor_pairs |= {("kbip:3,3", "cycle:4")} | {(f"cycle:{m}", "cycle:4") for m in range(3, 9)}
+    lemmas = set()
+    for g, h in sorted(factor_pairs):
+        g, h = parse_graph_spec(g), parse_graph_spec(h)
+        bl0 = make_balanced(product(DIRECT, g, h), label_direct(g, h, label_balanced(h)))
+        for seed in range(30):
+            bl = scramble_balanced(bl0, seed)
+            trail, expected_trail = [], []
+            out, outcome = couple_layers(
+                bl, on_swap=lambda *swap: trail.append(swap))
+            expected = couple_layers_reference(
+                bl, on_swap=lambda *swap: expected_trail.append(swap))
+            assert (out, outcome) == expected
+            assert trail == expected_trail
+            lemmas |= {lemma for _, _, lemma in trail}
+    assert lemmas == {"lemma1", "lemma2", "lemma3"}

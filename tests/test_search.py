@@ -209,6 +209,41 @@ def test_determinism():
     assert a.stats.nodes == b.stats.nodes and a.stats.steps == b.stats.steps
 
 
+# (kind, a, b, tag, nodes, steps, prunes) of the products of C_a and C_b that
+# take the most nodes at a budget of 10000: every one counted before the
+# propagation work list was trimmed to neighbors with at most one slot left
+BUDGET_BOUND_STATS = [
+    (LEXICOGRAPHIC, 6, 4, BUDGET_EXCEEDED, 10001, 9661,
+     {"closed_neighborhood": 208, "forced_unavailable": 2040, "sum_too_high": 301,
+      "sum_too_low": 6461}),
+    (LEXICOGRAPHIC, 5, 4, BUDGET_EXCEEDED, 10001, 10001,
+     {"sum_too_high": 3918, "sum_too_low": 5252}),
+    (LEXICOGRAPHIC, 4, 4, BUDGET_EXCEEDED, 10001, 10001,
+     {"sum_too_high": 5318, "sum_too_low": 3454}),
+    (DIRECT, 6, 4, BUDGET_EXCEEDED, 10001, 9065,
+     {"forced_unavailable": 7521, "sum_too_high": 728, "sum_too_low": 245}),
+    (DIRECT, 5, 4, BUDGET_EXCEEDED, 10001, 8847,
+     {"forced_unavailable": 6881, "sum_too_high": 826, "sum_too_low": 402}),
+    (CARTESIAN, 6, 6, BUDGET_EXCEEDED, 10001, 6951,
+     {"forced_unavailable": 6404, "sum_too_low": 286}),
+    (CARTESIAN, 3, 6, BUDGET_EXCEEDED, 10001, 4771,
+     {"closed_neighborhood": 175, "forced_unavailable": 3717, "sum_too_high": 310,
+      "sum_too_low": 108}),
+    (CARTESIAN, 6, 3, FOUND, 7551, 4168, {"forced_unavailable": 3723, "sum_too_low": 117}),
+    (DIRECT, 3, 4, FOUND, 6672, 4698,
+     {"closed_neighborhood": 624, "forced_unavailable": 2622, "sum_too_high": 514,
+      "sum_too_low": 1}),
+]
+
+
+@pytest.mark.parametrize("kind,a,b,tag,nodes,steps,prunes", BUDGET_BOUND_STATS,
+                         ids=[f"{kind}-C{a}xC{b}" for kind, a, b, *_ in BUDGET_BOUND_STATS])
+def test_budget_bound_search_stats_are_pinned(kind, a, b, tag, nodes, steps, prunes):
+    outcome = find_distance_magic(product(kind, cycle(a), cycle(b)).base, SearchBudget(10000))
+    stats = outcome.stats
+    assert (outcome.tag, stats.nodes, stats.steps, stats.prunes) == (tag, nodes, steps, prunes)
+
+
 ORACLE_GRAPHS = (
     [(f"C{n}", cycle(n)) for n in range(3, 9)]
     + [(f"P{n}", path(n)) for n in range(1, 9)]

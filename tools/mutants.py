@@ -26,6 +26,7 @@ TIMEOUT_S = 300
 
 KERNEL_ORACLE = ["tests/test_search.py", "-k",
                  "first_forced_vertex or denominator or fraction_reference"]
+COUPLING = ["tests/test_couple_golden.py", "tests/test_rearrange.py"]
 
 # (name, file under src, exact old text, new text, pytest selector)
 MUTANTS = [
@@ -55,6 +56,21 @@ MUTANTS = [
      "                yield 1, ((f, 1),)\n", KERNEL_ORACLE),
     ("kernel scan keeps the latest vertex with a key", "distmagic/search.py",
      "        u = first.setdefault(key, v)\n", "        u = first[key] = v\n", KERNEL_ORACLE),
+    # the propagation work list, trimmed to neighbors with at most one slot left
+    ("propagation skips neighbors with no slot left", "distmagic/search.py",
+     "            if left < 2:\n", "            if left == 1:\n",
+     ["tests/test_search.py", "-k", "pinned"]),
+    # the layer-g twins that couple_layers keeps current after each swap
+    ("coupling refreshes only the exchanged pair", "distmagic/rearrange.py",
+     "            for v in {a, b, bl.twins[a], bl.twins[b]}:\n",
+     "            for v in {a, b}:\n", COUPLING),
+    ("coupling refreshes from the twins before the swap", "distmagic/rearrange.py",
+     "                    state[v - lo] = decode(new.twins[v])\n",
+     "                    state[v - lo] = decode(bl.twins[v])\n", COUPLING),
+    ("exchange without its premise check", "distmagic/rearrange.py",
+     "    if base.neighbors(a) != base.neighbors(b):\n"
+     "        raise AssertionError(f\"exchange premise fails: N({a}) != N({b})\")\n",
+     "", COUPLING),
 ]
 
 
