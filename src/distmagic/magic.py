@@ -39,7 +39,8 @@ class Labeling(Value):
     that the values form the bijection.  Builders whose output
     is one by construction (`label_balanced`, `label_direct`,
     `label_cycle_product`, `parse_grid` after its own check, the search's
-    witness, the lemma swaps and the scramble) skip it through `_of_values`.
+    witness, the lemma swaps, the scramble and the factor labelings that
+    coupling extracts) skip it through `_of_values`.
     """
 
     __slots__ = _fields = ("values",)

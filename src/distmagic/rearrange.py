@@ -20,6 +20,10 @@ couple_layers, which only chains swaps, move labels only between vertices
 with one shared neighborhood, so every neighborhood keeps its set of labels
 and balance holds by proof.  They check that premise locally (O(degree) per
 swap) and carry the twin map forward; nothing re-verifies their results.
+The public swap_lemma1..3 check their lemma's premises on the caller's
+arguments.  couple_layers reads each exchange off its own layer state, so
+per swap it checks only that state against the twin map (O(1)) and the
+exchange's premise.
 """
 
 from __future__ import annotations
@@ -102,7 +106,15 @@ def swap_lemma1(bl: BalancedProductLabeling, v1: int, v2: int) -> BalancedProduc
     Valid because in a direct product N(g,h) = N(g',h') = N(g',h) = N(g,h'),
     so the exchange moves labels between vertices with one shared neighborhood.
     """
-    return _exchange(bl, *_lemma1(bl, v1, v2))
+    prod = bl.product
+    _require(prod.kind == DIRECT, "lemma swaps apply to direct products only")
+    _require_ids((v1, v2), prod.base.n, "vertex")
+    g1, h1 = prod.decode(v1)
+    g2, h2 = prod.decode(v2)
+    _require(bl.twins[v1] == v2, f"vertices {v1} and {v2} are not twins")
+    _require(g1 != g2, "twin pair lies in one H-layer (G-coordinates equal)")
+    _require(h1 != h2, "twin pair already aligned (H-coordinates equal)")
+    return _exchange(bl, v2, prod.encode(g2, h1))
 
 
 def swap_lemma2(bl, g, gp, h, h1, h2) -> BalancedProductLabeling:
@@ -112,31 +124,6 @@ def swap_lemma2(bl, g, gp, h, h1, h2) -> BalancedProductLabeling:
     h, h1, h2 are required pairwise distinct (the in-layer pair cannot involve
     the anchor coordinate, and h1 = h2 would be a vertex twinned with itself).
     """
-    return _exchange(bl, *_lemma2(bl, g, gp, h, h1, h2))
-
-
-def swap_lemma3(bl, g, gp, gpp, h, hp) -> BalancedProductLabeling:
-    """Twins (g,h),(g',h) and twins (g,h'),(g'',h') with g'' != g': exchange
-    the labels of (g',h') and (g'',h'), giving twins (g,h') and (g',h')."""
-    return _exchange(bl, *_lemma3(bl, g, gp, gpp, h, hp))
-
-
-# Each _lemmaN checks the premises of swap_lemmaN and returns the pair of
-# vertices whose labels it exchanges; couple_layers reads the pair too.
-
-def _lemma1(bl, v1, v2) -> tuple[int, int]:
-    prod = bl.product
-    _require(prod.kind == DIRECT, "lemma swaps apply to direct products only")
-    _require_ids((v1, v2), prod.base.n, "vertex")
-    g1, h1 = prod.decode(v1)
-    g2, h2 = prod.decode(v2)
-    _require(bl.twins[v1] == v2, f"vertices {v1} and {v2} are not twins")
-    _require(g1 != g2, "twin pair lies in one H-layer (G-coordinates equal)")
-    _require(h1 != h2, "twin pair already aligned (H-coordinates equal)")
-    return v2, prod.encode(g2, h1)
-
-
-def _lemma2(bl, g, gp, h, h1, h2) -> tuple[int, int]:
     prod = bl.product
     _require(prod.kind == DIRECT, "lemma swaps apply to direct products only")
     _require_ids((g, gp), prod.gsize, "g coordinate")
@@ -151,10 +138,12 @@ def _lemma2(bl, g, gp, h, h1, h2) -> tuple[int, int]:
         bl.twins[prod.encode(g, h1)] == prod.encode(g, h2),
         f"({g},{h1}) and ({g},{h2}) are not twins",
     )
-    return prod.encode(g, h2), prod.encode(gp, h1)
+    return _exchange(bl, prod.encode(g, h2), prod.encode(gp, h1))
 
 
-def _lemma3(bl, g, gp, gpp, h, hp) -> tuple[int, int]:
+def swap_lemma3(bl, g, gp, gpp, h, hp) -> BalancedProductLabeling:
+    """Twins (g,h),(g',h) and twins (g,h'),(g'',h') with g'' != g': exchange
+    the labels of (g',h') and (g'',h'), giving twins (g,h') and (g',h')."""
     prod = bl.product
     _require(prod.kind == DIRECT, "lemma swaps apply to direct products only")
     _require_ids((g, gp, gpp), prod.gsize, "g coordinate")
@@ -169,7 +158,7 @@ def _lemma3(bl, g, gp, gpp, h, hp) -> tuple[int, int]:
         bl.twins[prod.encode(g, hp)] == prod.encode(gpp, hp),
         f"({g},{hp}) and ({gpp},{hp}) are not twins",
     )
-    return prod.encode(gp, hp), prod.encode(gpp, hp)
+    return _exchange(bl, prod.encode(gp, hp), prod.encode(gpp, hp))
 
 
 class CoupleOutcome(Value):
@@ -195,22 +184,22 @@ def _layer_closed(bl: BalancedProductLabeling, g: int) -> bool:
 
 
 def _next_swap(prod: ProductGraph, state, g: int, gp: int):
-    """The next exchange coupling layer g with g' as (_lemmaN, arguments,
-    name), or None if no lemma applies; state[h] is the twin of (g,h).
+    """The next exchange coupling layer g with g' as (h, a, b, name): the row
+    h of layer g it reads, the two vertices whose labels it exchanges and the
+    lemma's name; or None if no lemma applies.  state[h] is the twin of (g,h).
     Lemma 1 aligns a twin outside layer g, lemma 3 pulls an aligned twin from
     a third layer into g', lemma 2 splits a pair inside g, each on the
-    smallest h admitting it; lemmas 3 and 2 anchor on the smallest h twinned
-    with (g',h)."""
+    smallest h admitting it."""
+    encode = prod.encode
     for h, (tg, th) in enumerate(state):
         if tg != g and th != h:
-            return _lemma1, (prod.encode(g, h), prod.encode(tg, th)), "lemma1"
-    anchor = next(h for h, twin in enumerate(state) if twin == (gp, h))
+            return h, encode(tg, th), encode(tg, h), "lemma1"
     for h, (tg, th) in enumerate(state):
         if th == h and tg not in (g, gp):
-            return _lemma3, (g, gp, tg, anchor, h), "lemma3"
+            return h, encode(gp, h), encode(tg, h), "lemma3"
     for h, (tg, th) in enumerate(state):
         if tg == g and th != h:
-            return _lemma2, (g, gp, anchor, min(h, th), max(h, th)), "lemma2"
+            return h, encode(g, max(h, th)), encode(gp, min(h, th)), "lemma2"
     return None
 
 
@@ -228,9 +217,12 @@ def couple_layers(bl: BalancedProductLabeling, on_swap=None):
     on_swap, when given, is called as on_swap(before, after, lemma_name) for
     every exchange.
 
-    Each exchange checks only its lemma's premise (the two vertices share one
-    neighborhood) and carries the twin map forward, so the rewritten labeling
-    is balanced by the lemmas and is returned without re-verification.
+    Each exchange makes two checks: that the twin of (g,h) is still the
+    state[h] _next_swap read it from (O(1)), which catches a stale layer
+    state, and _exchange's premise, that the two vertices share one
+    neighborhood (O(degree)).  It carries the twin map forward, so the
+    rewritten labeling is balanced by the lemmas and is returned without
+    re-verification.
 
     Layer g's twins are decoded once, when g is taken.  An exchange of a and b
     changes only the twins of a, b and their old twins, so after each swap
@@ -245,7 +237,7 @@ def couple_layers(bl: BalancedProductLabeling, on_swap=None):
         # an isolated vertex forces k = 0: only edgeless twins lack equal factor neighborhoods
         raise InputError("product has no edges; twin structure is undefined")
 
-    decode, hsize = prod.decode, prod.hsize
+    encode, decode, hsize = prod.encode, prod.decode, prod.hsize
     swaps = 0
     remaining = set(range(prod.gsize))
     pairs = []
@@ -256,14 +248,15 @@ def couple_layers(bl: BalancedProductLabeling, on_swap=None):
         if gp is None:
             break  # layer g is twin-closed
         assert gp in remaining
-        lo = prod.encode(g, 0)
+        lo = encode(g, 0)
         aligned = [(gp, h) for h in range(hsize)]
         while state != aligned:
             step = _next_swap(prod, state, g, gp)
             if step is None:
                 raise AssertionError("uncovered twin configuration while coupling")
-            lemma_pair, args, lemma = step
-            a, b = lemma_pair(bl, *args)
+            h, a, b, lemma = step
+            if bl.twins[lo + h] != encode(*state[h]):
+                raise AssertionError(f"stale layer state: twin of ({g},{h}) is not {state[h]}")
             new = _exchange(bl, a, b)
             if on_swap is not None:
                 on_swap(bl, new, lemma)
@@ -295,13 +288,14 @@ def closed_h_layer_outcome(bl: BalancedProductLabeling) -> CoupleOutcome:
 
 def _pair_labeling(pairs) -> Labeling:
     """Label a perfect matching: in order of their smaller members, the i-th
-    pair gets i on its smaller member and n+1-i on the other."""
+    pair gets i on its smaller member and n+1-i on the other, so every label
+    of 1..n is used once and the bijection holds by construction."""
     n = 2 * len(pairs)
     values = [0] * n
     for i, (a, b) in enumerate(sorted(pairs, key=min), start=1):
         values[min(a, b)] = i
         values[max(a, b)] = n + 1 - i
-    return Labeling(tuple(values))
+    return Labeling._of_values(tuple(values))
 
 
 def extract_factor_labeling(bl: BalancedProductLabeling, outcome: CoupleOutcome):

@@ -14,7 +14,12 @@ from distmagic.graphs import complete_bipartite, cycle
 from distmagic.constructors import label_balanced, label_direct
 from distmagic.magic import Labeling
 from distmagic.products import DIRECT, product
-from distmagic.rearrange import couple_layers, make_balanced, scramble_balanced
+from distmagic.rearrange import (
+    couple_layers,
+    extract_factor_labeling,
+    make_balanced,
+    scramble_balanced,
+)
 
 from conftest import couple_layers_reference
 
@@ -90,14 +95,18 @@ def _golden_inputs():
 def test_couple_layers_result_is_balanced_without_a_check():
     # couple_layers returns the labeling and twin map its lemma swaps carried,
     # unverified; the full check agrees with both, on every golden input and
-    # on the K3,3 x C4 seeds that fire all three lemmas
+    # on the K3,3 x C4 seeds that fire all three lemmas.  The factor labeling
+    # extracted from it, a perfect matching labeled i and n+1-i, is built
+    # unchecked too and passes the check Labeling makes
     k33, c4 = complete_bipartite(3, 3), cycle(4)
     inputs = [*_golden_inputs(), *((k33, c4, label_balanced(c4), s) for s in range(40))]
     for g, h, h_labeling, seed in inputs:
         p = product(DIRECT, g, h)
         bl = scramble_balanced(make_balanced(p, label_direct(g, h, h_labeling)), seed)
-        out, _ = couple_layers(bl)
+        out, outcome = couple_layers(bl)
         assert out == make_balanced(p, out.labeling)
+        _, lab = extract_factor_labeling(out, outcome)
+        assert Labeling(lab.values) == lab
 
 
 def test_scrambles_and_swaps_make_bijections():

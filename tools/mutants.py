@@ -4,9 +4,11 @@ For each mutant it copies `src` to a temporary directory, applies one edit
 (an exact old text, which must occur once, replaced by a new text) to one file
 of the copy, and runs `python -m pytest -x` on the mutant's selector with the
 copy first on PYTHONPATH.  Hypothesis runs with a fixed seed, so a kill
-repeats.  It prints killed or survived and the seconds for each mutant, and
-exits 1 when a mutant survives or when an old text no longer occurs.  A change
-that rewrites a mutated line updates its mutant in the same change.
+repeats.  It prints killed, timeout or survived and the seconds for each
+mutant, and exits 1 when a mutant survives or when an old text no longer
+occurs.  A mutant whose tests run past TIMEOUT_S counts as killed, but it
+shows as timeout and in the summary's count, since each one costs that long.
+A change that rewrites a mutated line updates its mutant in the same change.
 
     python tools/mutants.py
 """
@@ -21,12 +23,15 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# a mutant that makes the selected tests hang counts as killed after this long
+# a mutant that makes the selected tests hang counts as killed after this long,
+# and is reported as a timeout
 TIMEOUT_S = 300
 
 KERNEL_ORACLE = ["tests/test_search.py", "-k",
                  "first_forced_vertex or denominator or fraction_reference"]
 COUPLING = ["tests/test_couple_golden.py", "tests/test_rearrange.py"]
+BALANCED = ["tests/test_balanced.py"]
+GRID = ["tests/test_magic.py", "-k", "grid"]
 
 # (name, file under src, exact old text, new text, pytest selector)
 MUTANTS = [
@@ -71,11 +76,36 @@ MUTANTS = [
      "    if base.neighbors(a) != base.neighbors(b):\n"
      "        raise AssertionError(f\"exchange premise fails: N({a}) != N({b})\")\n",
      "", COUPLING),
+    # the pair that _next_swap reads off the layer state; a wrong lemma-1 or
+    # lemma-3 pair can make coupling loop without end, so only lemma 2's is here
+    ("coupling lemma-2 pair with min and max swapped", "distmagic/rearrange.py",
+     "encode(g, max(h, th)), encode(gp, min(h, th))",
+     "encode(g, min(h, th)), encode(gp, max(h, th))", COUPLING),
+    # the balanced subclass and its snake order in constructors.label_balanced
+    ("balanced labeling without the odd-round reversal", "distmagic/constructors.py",
+     "        for c in classes if r % 2 == 0 else reversed(classes):\n",
+     "        for c in classes:\n", BALANCED),
+    ("balanced labeling without the regularity test", "distmagic/constructors.py",
+     "    if n == 0 or n % 2 or regularity(g) is None:\n",
+     "    if n == 0 or n % 2:\n", BALANCED),
+    ("balanced labeling without the class-parity test", "distmagic/constructors.py",
+     "    if any(len(c) % 2 for c in classes):\n        return None\n", "", BALANCED),
+    ("balanced labeling with complement label n - low", "distmagic/constructors.py",
+     "            values[c[-1 - r]] = n + 1 - low\n",
+     "            values[c[-1 - r]] = n - low\n", BALANCED),
+    # magic.verify_grid in grid coordinates
+    ("grid twins fail 3 pairs, not 4, by default", "distmagic/magic.py",
+     "                         repeat(4)))\n", "                         repeat(3)))\n", GRID),
+    ("grid overlaps at offsets 0 and +-2 only", "distmagic/magic.py",
+     "            for d in (0, 2, -2, length - 2, 2 - length)}\n",
+     "            for d in (0, 2, -2)}\n", GRID),
+    ("grid weights without the row-start mending", "distmagic/magic.py",
+     "    sums[::n] = map(add, vert[n - 1 :: n], vert[1::n])\n", "", GRID),
 ]
 
 
 def run(path: str, old: str, new: str, selector: list[str]) -> str:
-    """killed, survived, or why the mutant could not run."""
+    """killed, timeout, survived, or why the mutant could not run."""
     with tempfile.TemporaryDirectory() as tmp:
         src = os.path.join(tmp, "src")
         shutil.copytree(os.path.join(ROOT, "src"), src,
@@ -99,19 +129,20 @@ def run(path: str, old: str, new: str, selector: list[str]) -> str:
             status = subprocess.run(cmd, cwd=tmp, env=env, stdout=subprocess.DEVNULL,
                                     stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
         except subprocess.TimeoutExpired:
-            return "killed"
+            return "timeout"
     # pytest exits 1 when a test failed; other codes mean the tests did not run
     return {0: "survived", 1: "killed"}.get(status, f"pytest exit {status}")
 
 
 def main() -> int:
-    failed = 0
+    failed = timeouts = 0
     for name, path, old, new, selector in MUTANTS:
         start = time.perf_counter()
         result = run(path, old, new, selector)
         print(f"{result:10s} {time.perf_counter() - start:6.1f} s  {path}: {name}", flush=True)
-        failed += result != "killed"
-    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+        failed += result not in ("killed", "timeout")
+        timeouts += result == "timeout"
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed, {timeouts} by the timeout")
     return 1 if failed else 0
 
 
