@@ -21,9 +21,9 @@ with one shared neighborhood, so every neighborhood keeps its set of labels
 and balance holds by proof.  They check that premise locally (O(degree) per
 swap) and carry the twin map forward; nothing re-verifies their results.
 The public swap_lemma1..3 check their lemma's premises on the caller's
-arguments.  couple_layers reads each exchange off its own layer state, so
-per swap it checks only that state against the twin map (O(1)) and the
-exchange's premise.
+arguments.  couple_layers reads each exchange off the twin map, so per swap
+its only check is the exchange's premise; it makes at most 2|V(H)| exchanges
+per layer pair, a bound its docstring proves, and fails past it.
 """
 
 from __future__ import annotations
@@ -172,35 +172,28 @@ class CoupleOutcome(Value):
         self._init(tag, closed_g, pairs, swaps)
 
 
-def _layer_twins(bl: BalancedProductLabeling, g: int) -> list[tuple[int, int]]:
-    """The decoded twins of (g,0), (g,1), ... in H-layer g."""
-    prod = bl.product
-    lo = prod.encode(g, 0)
-    return [prod.decode(t) for t in bl.twins[lo : lo + prod.hsize]]
-
-
 def _layer_closed(bl: BalancedProductLabeling, g: int) -> bool:
-    return all(tg == g for tg, _ in _layer_twins(bl, g))
+    hsize = bl.product.hsize
+    return all(t // hsize == g for t in bl.twins[g * hsize : (g + 1) * hsize])
 
 
-def _next_swap(prod: ProductGraph, state, g: int, gp: int):
-    """The next exchange coupling layer g with g' as (h, a, b, name): the row
-    h of layer g it reads, the two vertices whose labels it exchanges and the
-    lemma's name; or None if no lemma applies.  state[h] is the twin of (g,h).
-    Lemma 1 aligns a twin outside layer g, lemma 3 pulls an aligned twin from
-    a third layer into g', lemma 2 splits a pair inside g, each on the
-    smallest h admitting it."""
-    encode = prod.encode
-    for h, (tg, th) in enumerate(state):
-        if tg != g and th != h:
-            return h, encode(tg, th), encode(tg, h), "lemma1"
-    for h, (tg, th) in enumerate(state):
-        if th == h and tg not in (g, gp):
-            return h, encode(gp, h), encode(tg, h), "lemma3"
-    for h, (tg, th) in enumerate(state):
-        if tg == g and th != h:
-            return h, encode(g, max(h, th)), encode(gp, min(h, th)), "lemma2"
-    return None
+def _next_swap(row, lo: int, plo: int, hsize: int):
+    """The next exchange coupling layer g with g' as (a, b, name): the two
+    vertices whose labels it exchanges and the lemma's name.  row[h] is the
+    twin of (g,h), lo the id of (g,0) and plo that of (g',0).  Lemma 1 aligns
+    a twin outside layer g, lemma 3 pulls an aligned twin from a third layer
+    into g', lemma 2 splits a pair inside g, each on the smallest h admitting
+    it.  No vertex is its own twin, as a balanced labeling has even order."""
+    for h, t in enumerate(row):
+        if t % hsize != h and not lo <= t < lo + hsize:
+            return t, t - t % hsize + h, "lemma1"
+    for h, t in enumerate(row):
+        if t % hsize == h and t != plo + h:
+            return plo + h, t, "lemma3"
+    for h, t in enumerate(row):
+        th = t - lo
+        if 0 <= th < hsize:
+            return lo + max(h, th), plo + min(h, th), "lemma2"
 
 
 def couple_layers(bl: BalancedProductLabeling, on_swap=None):
@@ -211,24 +204,29 @@ def couple_layers(bl: BalancedProductLabeling, on_swap=None):
     layer g leaves it, g is closed and coupling stops.  Otherwise its partner
     g' is the layer of the first twin that leaves g, and _next_swap picks
     exchanges (lemma 1, then 3, then 2) until every (g,h) is twinned with
-    (g',h).  Every exchange couples a row or strictly shrinks the set of
-    misaligned rows, so the loop terminates.
+    (g',h).
+
+    At most 2|V(H)| exchanges couple one layer pair.  Sort the rows h of
+    layer g whose twin (tg,th) is not (g',h) into I (tg = g), M (tg != g,
+    th != h) and A (th = h, tg not in {g,g'}); a lemma applies to each.  The
+    potential 2|I| + 2|M| + |A| is at most 2|V(H)|, and 0 once the pair is
+    coupled.  Lemma 1 moves its row from M to A or coupled, lemma 3 couples
+    its row from A, and lemma 2 couples the smaller row of its pair from I
+    and leaves the larger one at weight 2 at most.  Besides, an exchange
+    changes the twin of at most one row of g, a row in M, which keeps weight
+    2 at most.  So every exchange lowers the potential by at least 1, and
+    coupling that would run past the bound fails with AssertionError instead
+    of looping.
 
     on_swap, when given, is called as on_swap(before, after, lemma_name) for
     every exchange.
 
-    Each exchange makes two checks: that the twin of (g,h) is still the
-    state[h] _next_swap read it from (O(1)), which catches a stale layer
-    state, and _exchange's premise, that the two vertices share one
-    neighborhood (O(degree)).  It carries the twin map forward, so the
-    rewritten labeling is balanced by the lemmas and is returned without
-    re-verification.
-
-    Layer g's twins are decoded once, when g is taken.  An exchange of a and b
-    changes only the twins of a, b and their old twins, so after each swap
-    at most those four rows of layer g are decoded again, not all |V(H)|.
-    A swap still scans the layer (O(|V(H)|)) to pick the next lemma and to
-    test for alignment, and copies the labeling and twin tuples (O(|V|)).
+    Per exchange the only check is _exchange's premise, that the two vertices
+    share one neighborhood (O(degree)).  It carries the twin map forward, so
+    the rewritten labeling is balanced by the lemmas and is returned without
+    re-verification.  After each exchange, layer g's twins are read again as
+    one slice of the twin map, which picking the next lemma scans
+    (O(|V(H)|)); the exchange copies the labeling and twin tuples (O(|V|)).
     """
     prod = bl.product
     if prod.kind != DIRECT:
@@ -237,33 +235,31 @@ def couple_layers(bl: BalancedProductLabeling, on_swap=None):
         # an isolated vertex forces k = 0: only edgeless twins lack equal factor neighborhoods
         raise InputError("product has no edges; twin structure is undefined")
 
-    encode, decode, hsize = prod.encode, prod.decode, prod.hsize
+    hsize = prod.hsize
     swaps = 0
     remaining = set(range(prod.gsize))
     pairs = []
     while remaining:
         g = min(remaining)
-        state = _layer_twins(bl, g)  # state[h] is the twin of (g,h), kept current
-        gp = next((tg for tg, _ in state if tg != g), None)
+        lo = prod.encode(g, 0)
+        row = bl.twins[lo : lo + hsize]  # row[h] is the twin of (g,h)
+        gp = next((t // hsize for t in row if t // hsize != g), None)
         if gp is None:
             break  # layer g is twin-closed
         assert gp in remaining
-        lo = encode(g, 0)
-        aligned = [(gp, h) for h in range(hsize)]
-        while state != aligned:
-            step = _next_swap(prod, state, g, gp)
-            if step is None:
-                raise AssertionError("uncovered twin configuration while coupling")
-            h, a, b, lemma = step
-            if bl.twins[lo + h] != encode(*state[h]):
-                raise AssertionError(f"stale layer state: twin of ({g},{h}) is not {state[h]}")
+        plo = prod.encode(gp, 0)
+        aligned = tuple(range(plo, plo + hsize))
+        exchanges = 0
+        while row != aligned:
+            if exchanges == 2 * hsize:
+                raise AssertionError(f"layers {g} and {gp} not coupled after {exchanges} exchanges")
+            a, b, lemma = _next_swap(row, lo, plo, hsize)
             new = _exchange(bl, a, b)
             if on_swap is not None:
                 on_swap(bl, new, lemma)
-            for v in {a, b, bl.twins[a], bl.twins[b]}:
-                if lo <= v < lo + hsize:
-                    state[v - lo] = decode(new.twins[v])
-            bl, swaps = new, swaps + 1
+            bl, exchanges = new, exchanges + 1
+            row = bl.twins[lo : lo + hsize]
+        swaps += exchanges
         remaining -= {g, gp}
         pairs.append((g, gp))
 
@@ -312,7 +308,8 @@ def extract_factor_labeling(bl: BalancedProductLabeling, outcome: CoupleOutcome)
             raise InputError(f"closed layer id {g} out of range [0,{prod.gsize})")
         if not _layer_closed(bl, g):
             raise InputError(f"stale outcome: H-layer {g} is not twin-closed for this labeling")
-        pairs = [(h, th) for h, (_, th) in enumerate(_layer_twins(bl, g)) if h < th]
+        lo = prod.encode(g, 0)
+        pairs = [(h, t - lo) for h, t in enumerate(bl.twins[lo : lo + prod.hsize]) if h < t - lo]
         return "H", _pair_labeling(pairs)
 
     if outcome.tag == COUPLED_PAIRS:
@@ -322,8 +319,9 @@ def extract_factor_labeling(bl: BalancedProductLabeling, outcome: CoupleOutcome)
         if sorted(flat) != list(range(prod.gsize)):
             raise InputError("coupled pairs do not partition the first factor's vertices")
         for a, b in outcome.pairs:
-            for h, twin in enumerate(_layer_twins(bl, a)):
-                if twin != (b, h):
+            lo, plo = prod.encode(a, 0), prod.encode(b, 0)
+            for h, t in enumerate(bl.twins[lo : lo + prod.hsize]):
+                if t != plo + h:
                     raise InputError(
                         f"stale outcome: twin of ({a},{h}) is not ({b},{h}) for this labeling"
                     )

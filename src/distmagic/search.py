@@ -325,11 +325,12 @@ def _search_k(g: Graph, k: int, stats: SearchStats, max_nodes):
 
     if not propagate(list(range(n))):
         return None
-    if max_nodes is not None and stats.nodes > max_nodes:
-        raise _Budget()
     stack = []  # (pos, label, trail mark) of each open branch
     pos = 0
     while True:
+        # reached after the first propagation and after each node that holds
+        if max_nodes is not None and stats.nodes > max_nodes:
+            raise _Budget()
         while pos < n and assigned[order[pos]]:
             pos += 1
         if pos == n:
@@ -349,8 +350,6 @@ def _search_k(g: Graph, k: int, stats: SearchStats, max_nodes):
             work = []
             place(order[pos], lab, work)
             if propagate(work) and bounds_ok():
-                if max_nodes is not None and stats.nodes > max_nodes:
-                    raise _Budget()
                 pos += 1
                 break
         else:

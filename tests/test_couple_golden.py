@@ -6,6 +6,7 @@ twin map of a coupling, so any change to the swap sequence shows here.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from distmagic.cli import main, parse_graph_spec
 from distmagic.graphs import complete_bipartite, cycle
 from distmagic.constructors import label_balanced, label_direct
 from distmagic.magic import Labeling
+from distmagic import rearrange
 from distmagic.products import DIRECT, product
 from distmagic.rearrange import (
     couple_layers,
@@ -126,14 +128,30 @@ def test_scrambles_and_swaps_make_bijections():
     assert {"lemma1", "lemma2", "lemma3"} <= set(swaps)
 
 
+def _working_layer(bl):
+    """The smallest H-layer not coupled with another: the layer g that the
+    next exchange of couple_layers works on."""
+    hsize = bl.product.hsize
+    for g in range(bl.product.gsize):
+        row = bl.twins[g * hsize : (g + 1) * hsize]
+        gp = row[0] // hsize
+        if gp == g or row != tuple(range(gp * hsize, (gp + 1) * hsize)):
+            return g
+
+
 def test_couple_layers_matches_the_rescanning_reference():
-    # couple_layers keeps layer g's decoded twins current after each swap; the
-    # reference decodes the whole layer again.  Same result, outcome and trail
-    # on every golden factor pair, on K3,3 x C4 (all three lemmas fire) and on
-    # C_m x C4, m = 3..8, each under scramble seeds 0..29
+    # couple_layers reads each exchange off layer g's twin ids; the reference
+    # decodes the whole layer and exchanges through the public lemma swaps.
+    # Same result, outcome and trail on every golden factor pair, on K3,3 x C4
+    # (all three lemmas fire), on K4,4 x (K6 - M) (one layer pair takes 11
+    # exchanges under seed 8) and on C_m x C4, m = 3..8, each under scramble
+    # seeds 0..29.  No layer pair takes more than the 2|V(H)| exchanges that
+    # couple_layers' docstring proves, and some come within one of it
     factor_pairs = {(g, h) for g, h, *_ in COUPLE_GOLDEN + SWAP_TRAIL_GOLDEN}
-    factor_pairs |= {("kbip:3,3", "cycle:4")} | {(f"cycle:{m}", "cycle:4") for m in range(3, 9)}
+    factor_pairs |= {("kbip:3,3", "cycle:4"), ("kbip:4,4", "kminusm:6")}
+    factor_pairs |= {(f"cycle:{m}", "cycle:4") for m in range(3, 9)}
     lemmas = set()
+    slack = []  # exchanges short of the bound, per layer pair
     for g, h in sorted(factor_pairs):
         g, h = parse_graph_spec(g), parse_graph_spec(h)
         bl0 = make_balanced(product(DIRECT, g, h), label_direct(g, h, label_balanced(h)))
@@ -147,4 +165,21 @@ def test_couple_layers_matches_the_rescanning_reference():
             assert (out, outcome) == expected
             assert trail == expected_trail
             lemmas |= {lemma for _, _, lemma in trail}
+            per_pair = Counter(_working_layer(before) for before, _, _ in trail)
+            slack += [2 * h.n - count for count in per_pair.values()]
     assert lemmas == {"lemma1", "lemma2", "lemma3"}
+    assert min(slack) == 1
+
+
+def test_couple_layers_fails_on_an_exchange_without_progress(monkeypatch):
+    # an exchange of a twin pair keeps the twin map, so layer g never comes
+    # closer to coupling; past 2|V(H)| exchanges coupling fails, not loops
+    g, h = parse_graph_spec("cycle:4"), parse_graph_spec("cycle:4")
+    bl = make_balanced(product(DIRECT, g, h), label_direct(g, h, label_balanced(h)))
+    bl = scramble_balanced(bl, 2)
+    monkeypatch.setattr(rearrange, "_next_swap",
+                        lambda row, lo, plo, hsize: (lo, row[0], "lemma1"))
+    trail = []
+    with pytest.raises(AssertionError, match="not coupled after 8 exchanges"):
+        couple_layers(bl, on_swap=lambda *swap: trail.append(swap))
+    assert len(trail) == 8

@@ -65,22 +65,22 @@ MUTANTS = [
     ("propagation skips neighbors with no slot left", "distmagic/search.py",
      "            if left < 2:\n", "            if left == 1:\n",
      ["tests/test_search.py", "-k", "pinned"]),
-    # the layer-g twins that couple_layers keeps current after each swap
-    ("coupling refreshes only the exchanged pair", "distmagic/rearrange.py",
-     "            for v in {a, b, bl.twins[a], bl.twins[b]}:\n",
-     "            for v in {a, b}:\n", COUPLING),
-    ("coupling refreshes from the twins before the swap", "distmagic/rearrange.py",
-     "                    state[v - lo] = decode(new.twins[v])\n",
-     "                    state[v - lo] = decode(bl.twins[v])\n", COUPLING),
+    # the premise that every coupling exchange checks
     ("exchange without its premise check", "distmagic/rearrange.py",
      "    if base.neighbors(a) != base.neighbors(b):\n"
      "        raise AssertionError(f\"exchange premise fails: N({a}) != N({b})\")\n",
      "", COUPLING),
-    # the pair that _next_swap reads off the layer state; a wrong lemma-1 or
-    # lemma-3 pair can make coupling loop without end, so only lemma 2's is here
+    # the pairs that _next_swap reads off layer g's twins, and the bound on
+    # exchanges per layer pair that turns a pair making no progress into a
+    # failure instead of a hang
+    ("coupling lemma-1 pair exchanges a twin pair", "distmagic/rearrange.py",
+     "return t, t - t % hsize + h, \"lemma1\"", "return t, lo + h, \"lemma1\"", COUPLING),
+    ("coupling lemma-3 pair taken from layer g", "distmagic/rearrange.py",
+     "return plo + h, t, \"lemma3\"", "return lo + h, t, \"lemma3\"", COUPLING),
     ("coupling lemma-2 pair with min and max swapped", "distmagic/rearrange.py",
-     "encode(g, max(h, th)), encode(gp, min(h, th))",
-     "encode(g, min(h, th)), encode(gp, max(h, th))", COUPLING),
+     "lo + max(h, th), plo + min(h, th)", "lo + min(h, th), plo + max(h, th)", COUPLING),
+    ("coupling bound of |V(H)| exchanges per layer pair", "distmagic/rearrange.py",
+     "if exchanges == 2 * hsize:", "if exchanges == hsize:", COUPLING),
     # the balanced subclass and its snake order in constructors.label_balanced
     ("balanced labeling without the odd-round reversal", "distmagic/constructors.py",
      "        for c in classes if r % 2 == 0 else reversed(classes):\n",
