@@ -234,12 +234,16 @@ def _check_cycle_length(x: int):
 # ---------------------------------------------------------------------------
 
 def format_grid(labeling: Labeling, m: int, n: int, k: int) -> str:
-    """The grid text of the row-major labeling of an m x n grid."""
+    """The grid text of the row-major labeling of an m x n grid.
+
+    Each row is written by one `%` format of its slice, so the labels are
+    converted in C rather than by one `str()` call each."""
     vals = labeling.values
-    lines = [f"{m} {n} {k}"]
+    line = " ".join(["%d"] * n) + "\n"
+    lines = [f"{m} {n} {k}\n"]
     for i in range(m - 1, -1, -1):
-        lines.append(" ".join([str(x) for x in vals[i * n : (i + 1) * n]]))
-    return "\n".join(lines) + "\n"
+        lines.append(line % vals[i * n : (i + 1) * n])
+    return "".join(lines)
 
 
 def parse_grid(text: str) -> tuple[Labeling, int, int, int]:

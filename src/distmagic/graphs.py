@@ -405,15 +405,14 @@ def _check_no_repeat(lines: list[str], stop: int):
 def format_edge_list(g: Graph) -> str:
     """Serialize in the same format, edges sorted lexicographically.
 
-    Row u contributes the lines "u v" for its neighbors v > u, written by one
-    join over the tail of the row past u.  The tail is converted by a list
-    comprehension, not map(str, ...): on CPython 3.11 the interpreter's
-    specialized str(x) call makes it the faster of the two.
+    Row u contributes the lines "u v" for its neighbors v > u, written by
+    one `%` format of the tail of the row past u: the format string repeats
+    "u %d\n" once per neighbor, so the ints are converted in C, where one
+    `str()` call per number would go through the interpreter.
     """
     out = [f"{g.n} {g.edge_count}\n"]
     for u, row in enumerate(g.adjacency):
-        higher = row[bisect_right(row, u):]
-        if higher:
-            prefix = f"{u} "
-            out.append(prefix + f"\n{prefix}".join([str(v) for v in higher]) + "\n")
+        tail = row[bisect_right(row, u):]
+        if tail:
+            out.append((f"{u} %d\n" * len(tail)) % tail)
     return "".join(out)

@@ -29,6 +29,8 @@ from .graphs import Graph, _scan_blocks, regularity
 MAX_DIAGNOSTICS = 32
 # cells per band of rows in which `verify_grid` sums the weights
 WEIGHT_BAND = 1 << 13
+# lines per block of `format_labeling`
+WRITE_BLOCK = 1 << 12
 
 
 class Labeling(Value):
@@ -487,7 +489,22 @@ def _read_labeling_lines(text: str, n: int) -> list[int]:
 
 
 def format_labeling(labeling: Labeling) -> str:
-    return "".join(f"{v} {x}\n" for v, x in enumerate(labeling.values))
+    """The labeling text: lines "v label" for v = 0..n-1.
+
+    Each block of up to WRITE_BLOCK lines is written by one `%` format of
+    its interleaved (v, label) pairs, so the numbers are converted in C
+    rather than by one `str()` call each, and the pairs held at a time are
+    one block's."""
+    values = labeling.values
+    n = len(values)
+    out = []
+    for lo in range(0, n, WRITE_BLOCK):
+        hi = min(lo + WRITE_BLOCK, n)
+        pairs = [0] * (2 * (hi - lo))
+        pairs[0::2] = range(lo, hi)
+        pairs[1::2] = values[lo:hi]
+        out.append(("%d %d\n" * (hi - lo)) % tuple(pairs))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,32 @@ def format_edge_list_reference(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
+def first_line_difference(text: str, reference: str):
+    """None when the texts are equal, else (line number, line, reference
+    line) of the first line that differs.  A failing `==` on two texts of
+    2^16 lines would have pytest diff them, which takes minutes."""
+    if text == reference:
+        return None
+    pairs = itertools.zip_longest(text.splitlines(True), reference.splitlines(True))
+    return next((i, a, b) for i, (a, b) in enumerate(pairs, start=1) if a != b)
+
+
+def format_labeling_reference(labeling: Labeling) -> str:
+    """The labeling writer with one f-string per line; the oracle for
+    format_labeling's bytes."""
+    return "".join(f"{v} {x}\n" for v, x in enumerate(labeling.values))
+
+
+def format_grid_reference(labeling: Labeling, m: int, n: int, k: int) -> str:
+    """The grid writer with one str() per entry; the oracle for
+    format_grid's bytes."""
+    vals = labeling.values
+    lines = [f"{m} {n} {k}"]
+    for i in range(m - 1, -1, -1):
+        lines.append(" ".join([str(x) for x in vals[i * n : (i + 1) * n]]))
+    return "\n".join(lines) + "\n"
+
+
 def product_reference(kind: str, g: Graph, h: Graph) -> Graph:
     """The product whose rows compute every entry as x * |V(H)| + y, built
     through the checked Graph(n, rows); the oracle for products.product's

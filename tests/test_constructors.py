@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from conftest import (
     RESPELLINGS,
     brute_force_distance_magic,
+    first_line_difference,
+    format_grid_reference,
     parse_grid_reference,
     parse_outcome,
     regular_magic_constant,
@@ -230,6 +233,31 @@ def test_grid_conversions_and_format():
     # paper orientation: row i of the row-major labeling is line m - i on the page
     for i in range(8):
         assert lines[8 - i] == " ".join(str(x) for x in lab.values[12 * i : 12 * i + 12])
+
+
+def test_format_grid_bytes_match_reference():
+    rng = random.Random(3)
+    for m in range(3, 13):
+        for n in range(3, 13):
+            lab = Labeling(tuple(rng.sample(range(1, m * n + 1), m * n)))
+            for k in (0, 9, 10000):
+                assert first_line_difference(format_grid(lab, m, n, k),
+                                             format_grid_reference(lab, m, n, k)) is None
+
+
+@pytest.mark.parametrize(
+    "lab,m,n",
+    [
+        # labels crossing 9999/10000
+        (Labeling(tuple(random.Random(5).sample(range(1, 10101), 10100))), 100, 101),
+        (label_cycle_product(256, 256), 256, 256),
+    ],
+    ids=["100x101", "256x256"],
+)
+def test_format_grid_bytes_match_reference_on_large_grids(lab, m, n):
+    k = 2 * m * n + 2
+    assert first_line_difference(format_grid(lab, m, n, k),
+                                 format_grid_reference(lab, m, n, k)) is None
 
 
 def test_grid_rejects_non_bijection():

@@ -11,6 +11,8 @@ from conftest import (
     RESPELLINGS,
     check_bijection_reference,
     enumerate_magic_labelings,
+    first_line_difference,
+    format_labeling_reference,
     parse_labeling_reference,
     parse_outcome,
     regular_magic_constant,
@@ -39,6 +41,7 @@ from distmagic.graphs import (
 from distmagic.magic import (
     MAX_DIAGNOSTICS,
     WEIGHT_BAND,
+    WRITE_BLOCK,
     Labeling,
     _scan_labeling,
     eit_schedule,
@@ -481,6 +484,16 @@ def test_labeling_file_roundtrip():
     text = format_labeling(C4_LABELS)
     assert text == "0 1\n1 2\n2 4\n3 3\n"
     assert parse_labeling(text, 4) == C4_LABELS
+
+
+# n = 0, one line, ids and labels crossing 9/10, 99/100 and 9999/10000, the
+# block ends of the writer and 2^16 lines
+@pytest.mark.parametrize("n", [0, 1, 10, 100, 10001, WRITE_BLOCK - 1, WRITE_BLOCK,
+                               WRITE_BLOCK + 1, 1 << 16])
+def test_format_labeling_bytes_match_reference(n):
+    labeling = Labeling(tuple(random.Random(n).sample(range(1, n + 1), n)))
+    assert first_line_difference(format_labeling(labeling),
+                                 format_labeling_reference(labeling)) is None
 
 
 @pytest.mark.parametrize(

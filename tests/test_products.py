@@ -1,8 +1,14 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import format_edge_list_reference, is_bipartite, is_connected, product_reference
+from conftest import (
+    first_line_difference,
+    format_edge_list_reference,
+    is_bipartite,
+    is_connected,
+    product_reference,
+)
 from distmagic.errors import InputError
 from distmagic.graphs import (
     Graph,
@@ -161,8 +167,16 @@ def random_graphs(draw, max_n=14):
     st.builds(product, st.sampled_from(PRODUCT_KINDS), FACTORS, FACTORS).map(lambda p: p.base),
     random_graphs(),
 ))
+@example(Graph.from_edges(0, []))
+@example(empty_graph(7))
+# 2 and 6 have only lower neighbors; 3 and 5 have none
+@example(Graph.from_edges(7, [(0, 2), (1, 2), (0, 4), (1, 4), (4, 6)]))
+# ids crossing 9/10, 99/100 and 9999/10000, within a row and across rows
+@example(Graph.from_edges(10001, [(0, 9), (9, 10), (9, 99), (10, 100), (99, 100),
+                                  (99, 9999), (100, 10000), (9999, 10000)]))
+@example(cycle(1 << 16))
 def test_edge_list_bytes_match_reference(g):
-    assert format_edge_list(g) == format_edge_list_reference(g)
+    assert first_line_difference(format_edge_list(g), format_edge_list_reference(g)) is None
 
 
 @settings(deadline=None, max_examples=200)

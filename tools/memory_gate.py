@@ -16,7 +16,7 @@ PYTHONPATH.  Needs a POSIX system (`os.posix_spawn`, `os.wait4`).
     python tools/memory_gate.py
 
 Peaks on Python 3.11 on Linux: `construct` 29 MB, `verify --grid` 38 MB,
-`product` 75 MB, `construct --format list` 46 MB, `verify --graph` 73 MB.
+`product` 75 MB, `construct --format list` 35 MB, `verify --graph` 73 MB.
 """
 
 from __future__ import annotations

@@ -32,6 +32,9 @@ KERNEL_ORACLE = ["tests/test_search.py", "-k",
 COUPLING = ["tests/test_couple_golden.py", "tests/test_rearrange.py"]
 BALANCED = ["tests/test_balanced.py"]
 GRID = ["tests/test_magic.py", "-k", "grid"]
+EDGE_SCAN = ["tests/test_graphs.py", "-k", "respelled or error_past or line_by_line_reference"]
+WRITERS = ["tests/test_products.py", "tests/test_magic.py", "tests/test_constructors.py",
+           "-k", "bytes_match_reference"]
 
 # (name, file under src, exact old text, new text, pytest selector)
 MUTANTS = [
@@ -101,6 +104,21 @@ MUTANTS = [
      "            for d in (0, 2, -2)}\n", GRID),
     ("grid weights without the row-start mending", "distmagic/magic.py",
      "    sums[::n] = map(add, vert[n - 1 :: n], vert[1::n])\n", "", GRID),
+    # the bulk scan's shape test, and the range check of the edge-list scan
+    ("bulk scan without its shape test", "distmagic/graphs.py",
+     "    if not text.endswith(\"\\n\") or rest != line_shape * (len(rest) // len(line_shape)):\n",
+     "    if not text.endswith(\"\\n\"):\n", EDGE_SCAN),
+    ("edge-list scan without its range check", "distmagic/graphs.py",
+     " or max(vs) >= n or ", " or ", EDGE_SCAN),
+    # the text writers' %-formats
+    ("edge-list lines with the row prefix u + 1", "distmagic/graphs.py",
+     "(f\"{u} %d\\n\" * len(tail))", "(f\"{u + 1} %d\\n\" * len(tail))", WRITERS),
+    ("labeling lines as (label, v)", "distmagic/magic.py",
+     "        pairs[0::2] = range(lo, hi)\n        pairs[1::2] = values[lo:hi]\n",
+     "        pairs[1::2] = range(lo, hi)\n        pairs[0::2] = values[lo:hi]\n", WRITERS),
+    ("grid rows written bottom-up", "distmagic/constructors.py",
+     "    for i in range(m - 1, -1, -1):\n        lines.append(line % ",
+     "    for i in range(m):\n        lines.append(line % ", WRITERS),
 ]
 
 
