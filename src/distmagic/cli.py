@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
 
 from . import constructors, magic, rearrange, search
 from .errors import InputError
@@ -28,8 +29,8 @@ from .graphs import (
     complete_bipartite,
     complete_minus_matching,
     cycle,
+    edge_list_blocks,
     empty_graph,
-    format_edge_list,
     parse_edge_list,
     path,
 )
@@ -86,13 +87,16 @@ def _read(path_arg: str) -> str:
         )
 
 
-def _emit(text: str, out: str | None):
+def _emit(blocks, out: str | None):
+    """Write the text blocks, in order, to the file `out`, else to stdout,
+    one block at a time: the writers' block generators are consumed as
+    they are written, so no whole text, nor an encoded copy of it, is held."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
         return
     try:
         with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     except OSError as exc:
         raise InputError(f"cannot write {out!r}: {exc}")
 
@@ -120,9 +124,9 @@ def cmd_construct(args) -> int:
         labeling = constructors.label_cycle_product(args.m, args.n)
         k = constructors.cycle_product_magic_constant(args.m, args.n)
         if args.format == "list":
-            _emit(magic.format_labeling(labeling), args.out)
+            _emit(magic.labeling_blocks(labeling), args.out)
         else:
-            _emit(constructors.format_grid(labeling, args.m, args.n, k), args.out)
+            _emit(constructors.grid_blocks(labeling, args.m, args.n, k), args.out)
         return 0
     if args.format == "grid":
         raise InputError("grid output applies to --kind cycle-product only")
@@ -144,7 +148,7 @@ def cmd_construct(args) -> int:
         labeling = constructors.label_direct(g, h, _labeling_for(args, h))
     else:
         raise InputError(f"unknown construct kind {kind!r}")
-    _emit(magic.format_labeling(labeling), args.out)
+    _emit(magic.labeling_blocks(labeling), args.out)
     return 0
 
 
@@ -163,7 +167,7 @@ def cmd_verify(args) -> int:
         g = parse_graph_spec(args.graph)
         report = magic.verify_balanced(g, magic.parse_labeling(_read(args.labeling), g.n))
     render = magic.report_text if args.format == "text" else magic.report_kv
-    _emit(render(report), args.out)
+    _emit([render(report)], args.out)
     ok = report.is_balanced if args.require == "balanced" else report.is_distance_magic
     return 0 if ok else 1
 
@@ -172,7 +176,7 @@ def cmd_product(args) -> int:
     g = parse_graph_spec(args.g)
     h = parse_graph_spec(args.h)
     p = product(args.kind, g, h)
-    _emit(format_edge_list(p.base), args.out)
+    _emit(edge_list_blocks(p.base), args.out)
     return 0
 
 
@@ -191,7 +195,7 @@ def cmd_search(args) -> int:
     if outcome.stats.forced_equal is not None:
         u, v = outcome.stats.forced_equal
         lines.append(f"forced_equal={u},{v}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0 if outcome.tag == search.FOUND else 1
 
 
@@ -218,8 +222,7 @@ def cmd_couple(args) -> int:
         lines.append("pairs=" + ",".join(f"{a}-{b}" for a, b in outcome.pairs))
     lines.append(f"swaps={outcome.swaps}")
     lines.append(f"factor={axis}")
-    text = "\n".join(lines) + "\n" + magic.format_labeling(factor_labeling)
-    _emit(text, args.out)
+    _emit(chain(["\n".join(lines) + "\n"], magic.labeling_blocks(factor_labeling)), args.out)
     return 0
 
 
@@ -245,14 +248,14 @@ def cmd_eit(args) -> int:
     g = parse_graph_spec(args.graph)
     labeling = magic.parse_labeling(_read(args.labeling), g.n)
     schedule = magic.eit_schedule(g, labeling)
-    _emit(magic.format_eit(schedule), args.out)
+    _emit([magic.format_eit(schedule)], args.out)
     return 0
 
 
 def cmd_table16(args) -> int:
     labeling = constructors.label_cycle_product(16, 16)
     k = constructors.cycle_product_magic_constant(16, 16)
-    _emit(constructors.format_grid(labeling, 16, 16, k), args.out)
+    _emit(constructors.grid_blocks(labeling, 16, 16, k), args.out)
     return 0
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 from .errors import InputError
 from .graphs import (
     MAX_VERTICES,
+    WRITE_BLOCK,
     Graph,
     _scan_blocks,
     _scan_ints,
@@ -234,16 +235,25 @@ def _check_cycle_length(x: int):
 # ---------------------------------------------------------------------------
 
 def format_grid(labeling: Labeling, m: int, n: int, k: int) -> str:
-    """The grid text of the row-major labeling of an m x n grid.
+    """The grid text of the row-major labeling of an m x n grid: the join
+    of `grid_blocks`."""
+    return "".join(grid_blocks(labeling, m, n, k))
+
+
+def grid_blocks(labeling: Labeling, m: int, n: int, k: int):
+    """Yield the text of `format_grid`: the header, then the rows top-down
+    (row m-1 first) in blocks of whole rows, max(1, WRITE_BLOCK // n) of
+    them, so about WRITE_BLOCK entries or one row wider than that.
 
     Each row is written by one `%` format of its slice, so the labels are
     converted in C rather than by one `str()` call each."""
     vals = labeling.values
     line = " ".join(["%d"] * n) + "\n"
-    lines = [f"{m} {n} {k}\n"]
-    for i in range(m - 1, -1, -1):
-        lines.append(line % vals[i * n : (i + 1) * n])
-    return "".join(lines)
+    rows = max(1, WRITE_BLOCK // n)
+    yield f"{m} {n} {k}\n"
+    for top in range(m, 0, -rows):
+        yield "".join([line % vals[i * n : (i + 1) * n]
+                       for i in range(top - 1, max(top - rows, 0) - 1, -1)])
 
 
 def parse_grid(text: str) -> tuple[Labeling, int, int, int]:

@@ -24,6 +24,11 @@ list of all lines.  Lines may end in "\n" or, all of a block's alike, in
 "\r\n".  Any other spelling, and any error, sends the text to the reader's
 line-by-line path, the only one that names a line in its errors; that path
 splits the whole text with `splitlines()`.
+
+The text writers here and in `magic` and `constructors` are generators of
+blocks of about WRITE_BLOCK lines, so a caller that writes block by block
+holds one block of the text at a time; each `format_*` function is the join
+of its writer's blocks.
 """
 
 from __future__ import annotations
@@ -212,6 +217,9 @@ def equal_neighborhood_classes(g: Graph) -> list[list[int]]:
 
 # characters per block of a bulk scan; a block ends just after a newline
 SCAN_BLOCK = 1 << 16
+# about this many lines (entries, for a grid) per block of the text
+# writers, whose blocks hold whole rows
+WRITE_BLOCK = 1 << 12
 
 _NO_DIGITS = dict.fromkeys(range(ord("0"), ord("9") + 1))
 _TO_COMMAS = {ord(" "): ",", ord("\n"): ",", ord("\r"): None}
@@ -403,16 +411,28 @@ def _check_no_repeat(lines: list[str], stop: int):
 
 
 def format_edge_list(g: Graph) -> str:
-    """Serialize in the same format, edges sorted lexicographically.
+    """Serialize in the same format, edges sorted lexicographically: the
+    join of `edge_list_blocks`."""
+    return "".join(edge_list_blocks(g))
+
+
+def edge_list_blocks(g: Graph):
+    """Yield the text of `format_edge_list` in blocks of whole rows, each
+    ending at the row that brings it to WRITE_BLOCK lines or more.
 
     Row u contributes the lines "u v" for its neighbors v > u, written by
     one `%` format of the tail of the row past u: the format string repeats
     "u %d\n" once per neighbor, so the ints are converted in C, where one
     `str()` call per number would go through the interpreter.
     """
-    out = [f"{g.n} {g.edge_count}\n"]
+    block, lines = [f"{g.n} {g.edge_count}\n"], 1
     for u, row in enumerate(g.adjacency):
         tail = row[bisect_right(row, u):]
         if tail:
-            out.append((f"{u} %d\n" * len(tail)) % tail)
-    return "".join(out)
+            block.append((f"{u} %d\n" * len(tail)) % tail)
+            lines += len(tail)
+            if lines >= WRITE_BLOCK:
+                yield "".join(block)
+                block, lines = [], 0
+    if block:
+        yield "".join(block)

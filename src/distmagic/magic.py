@@ -18,19 +18,18 @@ cycles from the grid alone, without building the product graph.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from itertools import chain, compress, islice, repeat
 from operator import add, eq, ne, sub
 
 from ._value import Value
 from .errors import InputError
-from .graphs import Graph, _scan_blocks, regularity
+from .graphs import WRITE_BLOCK, Graph, _scan_blocks, regularity
 
 MAX_DIAGNOSTICS = 32
 # cells per band of rows in which `verify_grid` sums the weights
 WEIGHT_BAND = 1 << 13
-# lines per block of `format_labeling`
-WRITE_BLOCK = 1 << 12
 
 
 class Labeling(Value):
@@ -261,7 +260,8 @@ def verify_grid(labeling: Labeling, m: int, n: int) -> VerifyReport:
       neighbours and twin worked out on demand.
 
     The one table of ints the size of the grid is at[x] = i*w + j, w = 2n,
-    for the cell (i, j) labeled x: the twin of label x is label mn+1-x, so
+    for the cell (i, j) labeled x, packed as 4-byte C ints (each code is
+    below 2mn <= 2^21): the twin of label x is label mn+1-x, so
     at[mn+1-x] - at[x] = di*w + dj tells the signed (di, dj) apart, and a
     twin cell is decoded from its code only where it is needed.  Besides
     it, uniform weights take one reference per cell and the failure counts
@@ -276,7 +276,7 @@ def verify_grid(labeling: Labeling, m: int, n: int) -> VerifyReport:
     if size % 2:
         return base
     w = 2 * n
-    at = [0] * (size + 1)  # at[0] is not a label
+    at = array("i", [0]) * (size + 1)  # at[0] is not a label
     for c, x in zip(chain.from_iterable(map(range, range(0, m * w, w), range(n, m * w, w))),
                     vals):
         at[x] = c
@@ -489,22 +489,26 @@ def _read_labeling_lines(text: str, n: int) -> list[int]:
 
 
 def format_labeling(labeling: Labeling) -> str:
-    """The labeling text: lines "v label" for v = 0..n-1.
+    """The labeling text: lines "v label" for v = 0..n-1; the join of
+    `labeling_blocks`."""
+    return "".join(labeling_blocks(labeling))
 
-    Each block of up to WRITE_BLOCK lines is written by one `%` format of
-    its interleaved (v, label) pairs, so the numbers are converted in C
-    rather than by one `str()` call each, and the pairs held at a time are
-    one block's."""
+
+def labeling_blocks(labeling: Labeling):
+    """Yield the text of `format_labeling` in blocks of up to WRITE_BLOCK
+    lines.
+
+    Each block is written by one `%` format of its interleaved (v, label)
+    pairs, so the numbers are converted in C rather than by one `str()`
+    call each, and the pairs held at a time are one block's."""
     values = labeling.values
     n = len(values)
-    out = []
     for lo in range(0, n, WRITE_BLOCK):
         hi = min(lo + WRITE_BLOCK, n)
         pairs = [0] * (2 * (hi - lo))
         pairs[0::2] = range(lo, hi)
         pairs[1::2] = values[lo:hi]
-        out.append(("%d %d\n" * (hi - lo)) % tuple(pairs))
-    return "".join(out)
+        yield ("%d %d\n" * (hi - lo)) % tuple(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -143,10 +143,20 @@ def kernel_forced_equal(g: Graph) -> tuple[int, int] | None:
     of [A | -1], v the smallest such vertex; None when there is none.
 
     The keys come in ascending vertex order, so the scan stops at the first
-    repeat and the keys of the higher vertices are never computed.
+    repeat and the keys of the higher vertices are never computed.  Only
+    pivot keys are stored.  A free vertex v has the key (1, ((v, 1),)),
+    which no earlier key names, since a key names only free columns below
+    its vertex: it is neither built nor stored.  A later vertex repeats it
+    only with that same key, read as l(v) = l(f) for a free column f >= 0,
+    the first pair of f, given at once; f = -1 is k, no vertex.
     """
     first = {}
     for v, key in enumerate(_kernel_keys(g)):
+        if key is None:
+            continue
+        den, pairs = key
+        if den == 1 and len(pairs) == 1 and pairs[0][1] == 1 and pairs[0][0] >= 0:
+            return pairs[0][0], v
         u = first.setdefault(key, v)
         if u != v:
             return u, v
@@ -155,7 +165,8 @@ def kernel_forced_equal(g: Graph) -> tuple[int, int] | None:
 
 def _kernel_keys(g: Graph):
     """Yield the key of each vertex, in ascending vertex order: it writes
-    l(v) over the free columns of the null space of [A | -1].
+    l(v) over the free columns of the null space of [A | -1].  A free
+    vertex yields None in place of its key (1, ((v, 1),)).
 
     Rows are sparse {column: int} dicts, column -1 standing for k, kept
     primitive (entries divided by their gcd).  Forward elimination runs over
@@ -212,12 +223,12 @@ def _kernel_keys(g: Graph):
             q = -q
         keys[c] = key = (d // q, tuple(sorted([(h, y // q) for h, y in num.items() if y])))
         if c >= 0:  # k, the first pivot when it is one, is no vertex
-            for f in range(v, c):
-                yield 1, ((f, 1),)
+            for _ in range(v, c):
+                yield None
             yield key
             v = c + 1
-    for f in range(v, n):
-        yield 1, ((f, 1),)
+    for _ in range(v, n):
+        yield None
 
 
 def _eliminate(row: dict, piv: dict, c: int):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from distmagic import cli, constructors, magic, rearrange
@@ -187,6 +189,41 @@ def test_product_output_parses(capsys):
     assert status == 0
     g = parse_edge_list(out)
     assert g.n == 6 and len(g.edges) == 9
+
+
+# outputs of several write blocks: 16384 edge lines, a 64 x 128 grid in
+# blocks of 32 rows, 8192 labeling lines
+@pytest.mark.parametrize("argv", [
+    ["product", "--kind", "direct", "cycle:64", "cycle:128"],
+    ["construct", "--kind", "cycle-product", "--m", "64", "--n", "128"],
+    ["construct", "--kind", "cycle-product", "--m", "64", "--n", "128", "--format", "list"],
+], ids=["product", "grid", "list"])
+def test_stdout_and_out_file_get_the_same_bytes(tmp_path, capsys, argv):
+    out_file = tmp_path / "out"
+    status, out, _ = run(capsys, *argv)
+    assert status == 0
+    status, _, _ = run(capsys, *argv, "--out", str(out_file))
+    assert status == 0 and out_file.read_bytes() == out.encode("ascii")
+
+
+def test_product_file_holds_no_copy_of_the_edge_list(tmp_path):
+    # the edge list of direct C256 x C256 is 1.5 MiB of text; held whole, with
+    # a string per row and an encoded copy, it took 1.9 times the graph's size
+    tracemalloc.start()
+    try:
+        graph = product(DIRECT, cycle(256), cycle(256))
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del graph
+    tracemalloc.start()
+    try:
+        status = main(["product", "--kind", "direct", "cycle:256", "cycle:256",
+                       "--out", str(tmp_path / "p.edges")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and peak <= 1.3 * size
 
 
 def test_search_found_and_none(capsys):

@@ -27,6 +27,7 @@ from distmagic.constructors import (
     classify_lex_cycles,
     cycle_product_magic_constant,
     format_grid,
+    grid_blocks,
     label_balanced,
     label_c4,
     label_complete_bipartite,
@@ -38,6 +39,7 @@ from distmagic.constructors import (
 from distmagic.errors import InputError
 from distmagic.graphs import (
     SCAN_BLOCK,
+    WRITE_BLOCK,
     complete_bipartite,
     complete_minus_matching,
     cycle,
@@ -245,19 +247,31 @@ def test_format_grid_bytes_match_reference():
                                              format_grid_reference(lab, m, n, k)) is None
 
 
+def _random_grid(m, n):
+    return Labeling(tuple(random.Random(m * n).sample(range(1, m * n + 1), m * n)))
+
+
+# 64 columns make a block of 64 rows: no row, one row, one block less a row,
+# one block, one block and a row, two blocks and a row; then one row wider
+# than a block
 @pytest.mark.parametrize(
     "lab,m,n",
     [
         # labels crossing 9999/10000
         (Labeling(tuple(random.Random(5).sample(range(1, 10101), 10100))), 100, 101),
         (label_cycle_product(256, 256), 256, 256),
+        *[(_random_grid(m, 64), m, 64) for m in (0, 1, 63, 64, 65, 129)],
+        (_random_grid(3, WRITE_BLOCK + 1), 3, WRITE_BLOCK + 1),
     ],
-    ids=["100x101", "256x256"],
+    ids=["100x101", "256x256", "0x64", "1x64", "63x64", "64x64", "65x64", "129x64",
+         "3x4097"],
 )
 def test_format_grid_bytes_match_reference_on_large_grids(lab, m, n):
     k = 2 * m * n + 2
-    assert first_line_difference(format_grid(lab, m, n, k),
-                                 format_grid_reference(lab, m, n, k)) is None
+    blocks = list(grid_blocks(lab, m, n, k))
+    assert first_line_difference("".join(blocks), format_grid_reference(lab, m, n, k)) is None
+    # about WRITE_BLOCK entries a block, or one row wider than that
+    assert all(b.count(" ") + b.count("\n") <= WRITE_BLOCK + n for b in blocks[:-1])
 
 
 def test_grid_rejects_non_bijection():

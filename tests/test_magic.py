@@ -46,6 +46,7 @@ from distmagic.magic import (
     _scan_labeling,
     eit_schedule,
     format_labeling,
+    labeling_blocks,
     parse_labeling,
     report_kv,
     report_text,
@@ -403,6 +404,20 @@ def test_verify_grid_extra_memory_per_cell():
     assert peak <= 100 * 128 * 128
 
 
+def test_verify_grid_packed_table_memory_per_cell():
+    # the label -> cell table takes 4 bytes a cell, packed; a list of int
+    # objects took 8 bytes a reference and 28 an int, about 50 bytes a cell
+    # in all at 256 x 256
+    labeling = label_cycle_product(256, 256)
+    tracemalloc.start()
+    try:
+        verify_grid(labeling, 256, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 256 * 256
+
+
 def test_weight_diagnostics_are_the_first_failures():
     g = product(DIRECT, cycle(12), cycle(16)).base
     rng = random.Random(7)
@@ -492,8 +507,9 @@ def test_labeling_file_roundtrip():
                                WRITE_BLOCK + 1, 1 << 16])
 def test_format_labeling_bytes_match_reference(n):
     labeling = Labeling(tuple(random.Random(n).sample(range(1, n + 1), n)))
-    assert first_line_difference(format_labeling(labeling),
-                                 format_labeling_reference(labeling)) is None
+    blocks = list(labeling_blocks(labeling))
+    assert first_line_difference("".join(blocks), format_labeling_reference(labeling)) is None
+    assert all(b.count("\n") == WRITE_BLOCK for b in blocks[:-1])
 
 
 @pytest.mark.parametrize(

@@ -45,7 +45,7 @@ def test_no_unused_imports():
 
 
 # stdlib modules whose import costs more than the package's own; the
-# package needs only bisect, itertools, operator and math
+# package needs only array, bisect, itertools, operator and math
 HEAVY = {"dataclasses", "typing", "inspect", "functools", "ast", "dis", "tokenize"}
 
 

@@ -11,10 +11,12 @@ from conftest import (
 )
 from distmagic.errors import InputError
 from distmagic.graphs import (
+    WRITE_BLOCK,
     Graph,
     complete_bipartite,
     complete_minus_matching,
     cycle,
+    edge_list_blocks,
     empty_graph,
     format_edge_list,
     parse_edge_list,
@@ -177,6 +179,22 @@ def random_graphs(draw, max_n=14):
 @example(cycle(1 << 16))
 def test_edge_list_bytes_match_reference(g):
     assert first_line_difference(format_edge_list(g), format_edge_list_reference(g)) is None
+
+
+# edge lines below, at and past the block ends; a path's rows each write one
+# line, a star's first row all of them, and the first edges of K_200 rows of
+# up to 199 lines
+@pytest.mark.parametrize("edges", [0, 1, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1])
+def test_edge_list_blocks_bytes_match_reference(edges):
+    n = edges + 1
+    k200 = [(u, v) for u in range(200) for v in range(u + 1, 200)]
+    for g in (path(n), Graph.from_edges(n, [(0, v) for v in range(1, n)]),
+              Graph.from_edges(200, k200[:edges])):
+        blocks = list(edge_list_blocks(g))
+        assert first_line_difference("".join(blocks), format_edge_list_reference(g)) is None
+        # a block ends at the row that brings it to WRITE_BLOCK lines
+        row = max((sum(v > u for v in r) for u, r in enumerate(g.adjacency)), default=0)
+        assert all(b.count("\n") < WRITE_BLOCK + row for b in blocks[:-1])
 
 
 @settings(deadline=None, max_examples=200)

@@ -56,14 +56,13 @@ MUTANTS = [
     ("kernel scan cursor moved on the k pivot", "distmagic/search.py",
      "        if c >= 0:", "        if c >= -1:", KERNEL_ORACLE),
     ("kernel pivot key yielded before the free vertices below it", "distmagic/search.py",
-     "            for f in range(v, c):\n"
-     "                yield 1, ((f, 1),)\n"
-     "            yield key\n",
-     "            yield key\n"
-     "            for f in range(v, c):\n"
-     "                yield 1, ((f, 1),)\n", KERNEL_ORACLE),
+     "            for _ in range(v, c):\n                yield None\n            yield key\n",
+     "            yield key\n            for _ in range(v, c):\n                yield None\n",
+     KERNEL_ORACLE),
     ("kernel scan keeps the latest vertex with a key", "distmagic/search.py",
      "        u = first.setdefault(key, v)\n", "        u = first[key] = v\n", KERNEL_ORACLE),
+    ("kernel scan reads k as a free vertex", "distmagic/search.py",
+     " and pairs[0][1] == 1 and pairs[0][0] >= 0:", " and pairs[0][1] == 1:", KERNEL_ORACLE),
     # the propagation work list, trimmed to neighbors with at most one slot left
     ("propagation skips neighbors with no slot left", "distmagic/search.py",
      "            if left < 2:\n", "            if left == 1:\n",
@@ -110,15 +109,23 @@ MUTANTS = [
      "    if not text.endswith(\"\\n\"):\n", EDGE_SCAN),
     ("edge-list scan without its range check", "distmagic/graphs.py",
      " or max(vs) >= n or ", " or ", EDGE_SCAN),
-    # the text writers' %-formats
+    # the text writers' %-formats, and their blocks
     ("edge-list lines with the row prefix u + 1", "distmagic/graphs.py",
      "(f\"{u} %d\\n\" * len(tail))", "(f\"{u + 1} %d\\n\" * len(tail))", WRITERS),
+    ("edge list without its last partial block", "distmagic/graphs.py",
+     "    if block:\n        yield \"\".join(block)\n", "", WRITERS),
     ("labeling lines as (label, v)", "distmagic/magic.py",
      "        pairs[0::2] = range(lo, hi)\n        pairs[1::2] = values[lo:hi]\n",
      "        pairs[1::2] = range(lo, hi)\n        pairs[0::2] = values[lo:hi]\n", WRITERS),
+    ("labeling without its last partial block", "distmagic/magic.py",
+     "    for lo in range(0, n, WRITE_BLOCK):\n",
+     "    for lo in range(0, n - n % WRITE_BLOCK, WRITE_BLOCK):\n", WRITERS),
     ("grid rows written bottom-up", "distmagic/constructors.py",
-     "    for i in range(m - 1, -1, -1):\n        lines.append(line % ",
-     "    for i in range(m):\n        lines.append(line % ", WRITERS),
+     "for i in range(top - 1, max(top - rows, 0) - 1, -1)",
+     "for i in range(max(top - rows, 0), top)", WRITERS),
+    ("grid without its last partial block", "distmagic/constructors.py",
+     "    for top in range(m, 0, -rows):\n", "    for top in range(m, rows - 1, -rows):\n",
+     WRITERS),
 ]
 
 
