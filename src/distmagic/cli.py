@@ -146,8 +146,6 @@ def cmd_construct(args) -> int:
         g = parse_graph_spec(args.g)
         h = parse_graph_spec(args.h)
         labeling = constructors.label_direct(g, h, _labeling_for(args, h))
-    else:
-        raise InputError(f"unknown construct kind {kind!r}")
     _emit(magic.labeling_blocks(labeling), args.out)
     return 0
 
@@ -252,13 +250,6 @@ def cmd_eit(args) -> int:
     return 0
 
 
-def cmd_table16(args) -> int:
-    labeling = constructors.label_cycle_product(16, 16)
-    k = constructors.cycle_product_magic_constant(16, 16)
-    _emit(constructors.grid_blocks(labeling, 16, 16, k), args.out)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -306,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         help="cap on backtracking nodes, not on the kernel precheck before them, "
-        "which is fast on sparse graphs but slow on dense ones (about two seconds "
-        "on 200 vertices of edge density 0.5); omitted means unlimited",
+        "which is fast on sparse graphs but slow on dense ones; omitted means unlimited",
     )
     p.add_argument("--out")
     p.set_defaults(fn=cmd_search)
@@ -335,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table16", help="emit the labeled 16x16 cycle-product grid")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_table16)
+    p.set_defaults(fn=cmd_construct, kind="cycle-product", m=16, n=16, format=None)
 
     return parser
 

@@ -252,15 +252,12 @@ def _scan_ints(text: str, line_shape: str) -> list[int] | None:
 
 def _scan_blocks(text: str, start: int, line_shape: str):
     """Yield the integers of text[start:], `_scan_ints` on one block of
-    about SCAN_BLOCK characters at a time; yield None and stop at the first
-    block that is not canonical.  Only one block is held at a time."""
+    about SCAN_BLOCK characters at a time, None for a block that is not
+    canonical, where callers stop.  Only one block is held at a time."""
     size = len(text)
     while start < size:
         end = text.find("\n", start + SCAN_BLOCK - 1) + 1 or size
-        ints = _scan_ints(text[start:end], line_shape)
-        yield ints
-        if ints is None:
-            return
+        yield _scan_ints(text[start:end], line_shape)
         start = end
 
 

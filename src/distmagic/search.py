@@ -49,11 +49,8 @@ class SearchBudget(Value):
     """Node cap for one search; None means unlimited.
 
     The cap counts backtracking nodes only.  The kernel precheck runs before
-    the first node and is not bounded by it.  Its exact elimination is near
-    linear on sparse graphs (C4000 takes about 9 ms, C16000 40 ms and the
-    edgeless graph on 32000 vertices 55 ms on a 2-core host), but fill-in
-    makes it slow on dense ones (G(200, 0.5) takes about two seconds),
-    whatever the cap.
+    the first node and is not bounded by it: near linear on sparse graphs,
+    it is slow on dense ones whatever the cap.
     """
 
     __slots__ = _fields = ("max_nodes",)
@@ -78,9 +75,6 @@ class SearchStats(Value):
                  forced_equal: tuple[int, int] | None = None):
         self._init(nodes, steps, {} if prunes is None else prunes, forced_equal)
 
-    def prune(self, reason: str):
-        self.prunes[reason] = self.prunes.get(reason, 0) + 1
-
 
 class SearchOutcome(Value):
     __slots__ = _fields = ("tag", "labeling", "magic_constant", "stats")
@@ -88,10 +82,6 @@ class SearchOutcome(Value):
     def __init__(self, tag: str, labeling: Labeling | None, magic_constant: int | None,
                  stats: SearchStats):
         self._init(tag, labeling, magic_constant, stats)
-
-
-class _Budget(Exception):
-    pass
 
 
 def find_distance_magic(g: Graph, budget: SearchBudget | None = None) -> SearchOutcome:
@@ -112,12 +102,12 @@ def find_distance_magic(g: Graph, budget: SearchBudget | None = None) -> SearchO
 
     degrees = sorted(map(len, g.adjacency))
     if degrees[0] == degrees[-1] and degrees[0] % 2 == 1:
-        stats.prune("odd_regular")
+        stats.prunes["odd_regular"] = 1
         return SearchOutcome(EXHAUSTED_NONE, None, None, stats)
 
     pair = kernel_forced_equal(g)
     if pair is not None:
-        stats.prune("kernel_forced_equal")
+        stats.prunes["kernel_forced_equal"] = 1
         stats.forced_equal = pair
         return SearchOutcome(EXHAUSTED_NONE, None, None, stats)
 
@@ -129,9 +119,8 @@ def find_distance_magic(g: Graph, budget: SearchBudget | None = None) -> SearchO
     candidates = range(-(-low // n), high // n + 1)
     max_nodes = budget.max_nodes if budget is not None else None
     for k in candidates:
-        try:
-            witness = _search_k(g, k, stats, max_nodes)
-        except _Budget:
+        witness = _search_k(g, k, stats, max_nodes)
+        if witness is BUDGET_EXCEEDED:
             return SearchOutcome(BUDGET_EXCEEDED, None, None, stats)
         if witness is not None:
             return SearchOutcome(FOUND, witness, k, stats)
@@ -142,18 +131,16 @@ def kernel_forced_equal(g: Graph) -> tuple[int, int] | None:
     """First pair (u, v), u < v, with l(u) = l(v) on the whole null space
     of [A | -1], v the smallest such vertex; None when there is none.
 
-    The keys come in ascending vertex order, so the scan stops at the first
-    repeat and the keys of the higher vertices are never computed.  Only
-    pivot keys are stored.  A free vertex v has the key (1, ((v, 1),)),
-    which no earlier key names, since a key names only free columns below
-    its vertex: it is neither built nor stored.  A later vertex repeats it
+    It reads the (vertex, key) pairs of the pivot vertices in ascending
+    vertex order, so the scan stops at the first repeat and the keys of the
+    higher vertices are never computed.  A free vertex v is skipped: its key
+    (1, ((v, 1),)) is never built, and no earlier key names it, since a key
+    names only free columns below its vertex.  A later vertex repeats it
     only with that same key, read as l(v) = l(f) for a free column f >= 0,
     the first pair of f, given at once; f = -1 is k, no vertex.
     """
     first = {}
-    for v, key in enumerate(_kernel_keys(g)):
-        if key is None:
-            continue
+    for v, key in _kernel_keys(g):
         den, pairs = key
         if den == 1 and len(pairs) == 1 and pairs[0][1] == 1 and pairs[0][0] >= 0:
             return pairs[0][0], v
@@ -164,9 +151,9 @@ def kernel_forced_equal(g: Graph) -> tuple[int, int] | None:
 
 
 def _kernel_keys(g: Graph):
-    """Yield the key of each vertex, in ascending vertex order: it writes
-    l(v) over the free columns of the null space of [A | -1].  A free
-    vertex yields None in place of its key (1, ((v, 1),)).
+    """Yield (vertex, key) for each pivot vertex, in ascending vertex order:
+    the key writes l(v) over the free columns of the null space of [A | -1].
+    A free vertex is skipped; its key would be (1, ((v, 1),)).
 
     Rows are sparse {column: int} dicts, column -1 standing for k, kept
     primitive (entries divided by their gcd).  Forward elimination runs over
@@ -205,7 +192,6 @@ def _kernel_keys(g: Graph):
                     buckets.setdefault(max(row), []).append(row)
 
     keys = {}  # pivot column -> key
-    v = 0  # the next vertex to yield
     for c, row in reversed(pivots):
         # x_c = sum(row[f] * x_f) / -row[c], each lower pivot f written by its
         # key: num / d over the free columns, then reduced with d > 0
@@ -223,12 +209,7 @@ def _kernel_keys(g: Graph):
             q = -q
         keys[c] = key = (d // q, tuple(sorted([(h, y // q) for h, y in num.items() if y])))
         if c >= 0:  # k, the first pivot when it is one, is no vertex
-            for _ in range(v, c):
-                yield None
-            yield key
-            v = c + 1
-    for _ in range(v, n):
-        yield None
+            yield c, key
 
 
 def _eliminate(row: dict, piv: dict, c: int):
@@ -254,7 +235,8 @@ def _eliminate(row: dict, piv: dict, c: int):
 
 
 def _search_k(g: Graph, k: int, stats: SearchStats, max_nodes):
-    """The first labeling with constant k along the search order, or None.
+    """The first labeling with constant k along the search order, None when
+    there is none, or BUDGET_EXCEEDED once the nodes pass max_nodes.
 
     Each stack frame (pos, label, trail mark) is one open branch: popping it
     rolls the trail back to the mark and tries the next unused label at pos.
@@ -341,7 +323,7 @@ def _search_k(g: Graph, k: int, stats: SearchStats, max_nodes):
     while True:
         # reached after the first propagation and after each node that holds
         if max_nodes is not None and stats.nodes > max_nodes:
-            raise _Budget()
+            return BUDGET_EXCEEDED
         while pos < n and assigned[order[pos]]:
             pos += 1
         if pos == n:
@@ -356,7 +338,7 @@ def _search_k(g: Graph, k: int, stats: SearchStats, max_nodes):
             stats.steps += 1
             stats.nodes += 1
             if max_nodes is not None and stats.nodes > max_nodes:
-                raise _Budget()
+                return BUDGET_EXCEEDED
             stack.append((pos, lab, mark))
             work = []
             place(order[pos], lab, work)

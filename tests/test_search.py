@@ -30,6 +30,7 @@ from distmagic.search import (
     EXHAUSTED_NONE,
     FOUND,
     SearchBudget,
+    _kernel_keys,
     check_family,
     find_distance_magic,
     kernel_forced_equal,
@@ -326,13 +327,35 @@ def test_kernel_matches_fraction_reference_on_regular_graphs(g):
     assert kernel_forced_equal(g) == forced_equal_reference(g)
 
 
+def _check_kernel_pairs(g):
+    """_kernel_keys(g) yields (vertex, key) for pivot vertices only, in
+    strictly ascending vertex order, and each key names only free columns
+    below its vertex: k (column -1) or vertices that were not yielded."""
+    pairs = list(_kernel_keys(g))
+    vertices = [v for v, _ in pairs]
+    assert vertices == sorted(set(vertices))
+    assert all(0 <= v < g.n for v in vertices)
+    pivots = set(vertices)
+    for v, (den, terms) in pairs:
+        assert den > 0
+        assert all(-1 <= f < v and f not in pivots for f, _ in terms), (v, terms)
+
+
 @pytest.mark.parametrize("kind", (DIRECT, CARTESIAN, LEXICOGRAPHIC))
 def test_kernel_matches_fraction_reference_on_cycle_products(kind):
     for a, b in itertools.product(range(3, 9), repeat=2):
         g = product(kind, cycle(a), cycle(b)).base
         assert kernel_forced_equal(g) == forced_equal_reference(g), (a, b)
+        _check_kernel_pairs(g)
         g = _ids_reversed(g)
         assert kernel_forced_equal(g) == forced_equal_reference(g), (a, b, "reversed")
+        _check_kernel_pairs(g)
+
+
+@settings(deadline=None, max_examples=200)
+@given(small_graphs(max_n=12))
+def test_kernel_keys_name_free_columns_below(g):
+    _check_kernel_pairs(g)
 
 
 def test_kernel_certificates_at_scale():

@@ -33,6 +33,8 @@ COUPLING = ["tests/test_couple_golden.py", "tests/test_rearrange.py"]
 BALANCED = ["tests/test_balanced.py"]
 GRID = ["tests/test_magic.py", "-k", "grid"]
 EDGE_SCAN = ["tests/test_graphs.py", "-k", "respelled or error_past or line_by_line_reference"]
+GRID_INPUT = ["tests/test_constructors.py", "tests/test_cli.py"]
+PRODUCTS = ["tests/test_products.py"]
 WRITERS = ["tests/test_products.py", "tests/test_magic.py", "tests/test_constructors.py",
            "-k", "bytes_match_reference"]
 
@@ -55,10 +57,8 @@ MUTANTS = [
     # the ascending key order that the early exit of kernel_forced_equal reads
     ("kernel scan cursor moved on the k pivot", "distmagic/search.py",
      "        if c >= 0:", "        if c >= -1:", KERNEL_ORACLE),
-    ("kernel pivot key yielded before the free vertices below it", "distmagic/search.py",
-     "            for _ in range(v, c):\n                yield None\n            yield key\n",
-     "            yield key\n            for _ in range(v, c):\n                yield None\n",
-     KERNEL_ORACLE),
+    ("kernel key paired with the next vertex", "distmagic/search.py",
+     "yield c, key", "yield c + 1, key", KERNEL_ORACLE),
     ("kernel scan keeps the latest vertex with a key", "distmagic/search.py",
      "        u = first.setdefault(key, v)\n", "        u = first[key] = v\n", KERNEL_ORACLE),
     ("kernel scan reads k as a free vertex", "distmagic/search.py",
@@ -83,6 +83,9 @@ MUTANTS = [
      "lo + max(h, th), plo + min(h, th)", "lo + min(h, th), plo + max(h, th)", COUPLING),
     ("coupling bound of |V(H)| exchanges per layer pair", "distmagic/rearrange.py",
      "if exchanges == 2 * hsize:", "if exchanges == hsize:", COUPLING),
+    # the Fisher-Yates swap of scramble_balanced
+    ("scramble swap that duplicates a label", "distmagic/rearrange.py",
+     "labels[i], labels[j] = labels[j], labels[i]", "labels[i] = labels[j]", COUPLING),
     # the balanced subclass and its snake order in constructors.label_balanced
     ("balanced labeling without the odd-round reversal", "distmagic/constructors.py",
      "        for c in classes if r % 2 == 0 else reversed(classes):\n",
@@ -103,6 +106,15 @@ MUTANTS = [
      "            for d in (0, 2, -2)}\n", GRID),
     ("grid weights without the row-start mending", "distmagic/magic.py",
      "    sums[::n] = map(add, vert[n - 1 :: n], vert[1::n])\n", "", GRID),
+    # the bijection check of a grid read from text
+    ("grid read without its bijection check", "distmagic/constructors.py",
+     "    _check_bijection(values, f\"grid entries are not a bijection onto 1..{m * n}\")\n",
+     "", GRID_INPUT),
+    # the rows of a Cartesian product
+    ("Cartesian product with its last row one neighbor short", "distmagic/products.py",
+     "zip(below, getters, above)])\n",
+     "zip(below, getters, above)])\n"
+     "                if a == gn - 1:\n                    rows[-1] = rows[-1][:-1]\n", PRODUCTS),
     # the bulk scan's shape test, and the range check of the edge-list scan
     ("bulk scan without its shape test", "distmagic/graphs.py",
      "    if not text.endswith(\"\\n\") or rest != line_shape * (len(rest) // len(line_shape)):\n",
