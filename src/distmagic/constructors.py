@@ -27,6 +27,7 @@ from .graphs import (
     MAX_VERTICES,
     WRITE_BLOCK,
     Graph,
+    _line_ints,
     _scan_blocks,
     _scan_ints,
     check_size,
@@ -76,7 +77,7 @@ def label_balanced(g: Graph) -> Labeling | None:
             low += 1
         r += 1
         classes = [c for c in classes if len(c) > 2 * r]
-    return Labeling._of_values(tuple(values))
+    return Labeling._of_fields(tuple(values))
 
 
 def label_c4() -> Labeling:
@@ -120,7 +121,7 @@ def label_direct(g: Graph, h: Graph, h_labeling: Labeling) -> Labeling:
         # the fibre of hv: vertices hv, t + hv, ..., (p-1)t + hv in g order
         values[hv::t] = (range((j - 1) * p + 1, j * p + 1) if j <= t // 2
                          else range(j * p, (j - 1) * p, -1))
-    return Labeling._of_values(tuple(values))
+    return Labeling._of_fields(tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,7 @@ def label_cycle_product(m: int, n: int) -> Labeling:
         e = d + total // 4
         values[i * n : (i + 1) * n : 2] = [x + d if x <= half else x - d for x in row]
         values[i * n + 1 : (i + 1) * n : 2] = [x + e if x <= half else x - e for x in row]
-    return Labeling._of_values(tuple(values))
+    return Labeling._of_fields(tuple(values))
 
 
 def cycle_product_magic_constant(m: int, n: int) -> int:
@@ -269,7 +270,7 @@ def parse_grid(text: str) -> tuple[Labeling, int, int, int]:
     values, m, n, k = _scan_grid(text) or _read_grid_lines(text)
     values = tuple(values)
     _check_bijection(values, f"grid entries are not a bijection onto 1..{m * n}")
-    return Labeling._of_values(values), m, n, k
+    return Labeling._of_fields(values), m, n, k
 
 
 def _scan_grid(text: str) -> tuple[list[int], int, int, int] | None:
@@ -297,13 +298,8 @@ def _read_grid_lines(text: str) -> tuple[list[int], int, int, int]:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise InputError("line 1: missing grid header 'm n k'")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise InputError(f"line 1: grid header must be 'm n k', got {lines[0]!r}")
-    try:
-        m, n, k = (int(x) for x in header)
-    except ValueError:
-        raise InputError(f"line 1: grid header must be three integers, got {lines[0]!r}")
+    m, n, k = _line_ints(1, lines[0], 3, "grid header must be 'm n k'",
+                         "grid header must be three integers")
     if m < 3 or n < 3:
         raise InputError(f"line 1: grid dimensions must be cycle lengths >= 3, got m={m} n={n}")
     total = m * n

@@ -23,7 +23,9 @@ a time, each block's integers decoded by one C-level call, so it holds no
 list of all lines.  Lines may end in "\n" or, all of a block's alike, in
 "\r\n".  Any other spelling, and any error, sends the text to the reader's
 line-by-line path, the only one that names a line in its errors; that path
-splits the whole text with `splitlines()`.
+splits the whole text with `splitlines()`, and its header and line errors
+-- a line with the wrong number of tokens, or a token that is not an
+integer -- come from one parser, `_line_ints`.
 
 The text writers here and in `magic` and `constructors` are generators of
 blocks of about WRITE_BLOCK lines, so a caller that writes block by block
@@ -63,7 +65,7 @@ class Graph(Value):
     row for type, range, order, loops and symmetry, since its rows come
     from the caller.  The library's own builders -- `from_edges`, the
     generators, `parse_edge_list` and `products.product` -- write rows that
-    are valid by construction and skip that check through `Graph._of_rows`.
+    are valid by construction and skip that check through `_of_fields`.
     """
 
     __slots__ = _fields = ("n", "adjacency")
@@ -95,11 +97,6 @@ class Graph(Value):
                     raise InputError(f"vertex {u} is in row {v}, but {v} is not in row {u}")
                 prev = u
 
-    @classmethod
-    def _of_rows(cls, n: int, adjacency: tuple[tuple[int, ...], ...]) -> "Graph":
-        """A graph from rows its builder guarantees valid; no row check."""
-        return cls._of_fields(n, adjacency)
-
     @staticmethod
     def from_edges(n: int, pairs) -> "Graph":
         """Build a graph from an iterable of (u, v) pairs in either endpoint
@@ -114,7 +111,7 @@ class Graph(Value):
                 raise InputError(f"edge ({u},{v}) has an endpoint outside [0,{n})")
             rows[u].append(ids[v])
             rows[v].append(ids[u])
-        return Graph._of_rows(n, tuple([tuple(sorted(set(row))) for row in rows]))
+        return Graph._of_fields(n, tuple([tuple(sorted(set(row))) for row in rows]))
 
     @property
     def edges(self) -> frozenset:
@@ -127,12 +124,9 @@ class Graph(Value):
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order."""
-        self._check_vertex(v)
-        return self.adjacency[v]
-
-    def _check_vertex(self, v: int):
         if not (0 <= v < self.n):
             raise InputError(f"vertex {v} out of range [0,{self.n})")
+        return self.adjacency[v]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +152,7 @@ def empty_graph(n: int) -> Graph:
     if n < 0:
         raise InputError(f"empty graph order must be >= 0, got n={n}")
     check_size(n)
-    return Graph._of_rows(n, ((),) * n)
+    return Graph._of_fields(n, ((),) * n)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -168,7 +162,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     if b < 1:
         raise InputError(f"complete bipartite part size b must be >= 1, got b={b}")
     check_size(a + b, a * b)
-    return Graph._of_rows(a + b, (tuple(range(a, a + b)),) * a + (tuple(range(a)),) * b)
+    return Graph._of_fields(a + b, (tuple(range(a, a + b)),) * a + (tuple(range(a)),) * b)
 
 
 def complete_minus_matching(order: int) -> Graph:
@@ -182,7 +176,7 @@ def complete_minus_matching(order: int) -> Graph:
     for lo in range(0, order, 2):
         row = ids[:lo] + ids[lo + 2:]  # 2i and 2i+1 have one neighborhood
         rows += (row, row)
-    return Graph._of_rows(order, tuple(rows))
+    return Graph._of_fields(order, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +320,7 @@ def _scan_edge_list(text: str) -> Graph | None:
         rows[done:] = map(tuple, islice(rows, done, None))
     elif not _finish_rows(rows, done, n):
         return None
-    return Graph._of_rows(n, tuple(rows))
+    return Graph._of_fields(n, tuple(rows))
 
 
 def _finish_rows(rows: list, lo: int, hi: int) -> bool:
@@ -340,6 +334,19 @@ def _finish_rows(rows: list, lo: int, hi: int) -> bool:
     return True
 
 
+def _line_ints(i: int, line: str, width: int, shape: str, ints: str) -> list[int]:
+    """The `width` integers of line i of a line-by-line reader, or the
+    error "line i: <shape>, got <line>" when it has another number of
+    tokens, "line i: <ints>, got <line>" when a token is not an integer."""
+    parts = line.split()
+    if len(parts) != width:
+        raise InputError(f"line {i}: {shape}, got {line!r}")
+    try:
+        return list(map(int, parts))
+    except ValueError:
+        raise InputError(f"line {i}: {ints}, got {line!r}")
+
+
 def _read_edge_list_lines(text: str) -> Graph:
     """The line-by-line reader: each line is checked for shape, order,
     loops and range as it is read; repeats of an earlier edge are found in
@@ -348,13 +355,7 @@ def _read_edge_list_lines(text: str) -> Graph:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise InputError("line 1: missing header 'n m'")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise InputError(f"line 1: header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise InputError(f"line 1: header must be two integers, got {lines[0]!r}")
+    n, m = _line_ints(1, lines[0], 2, "header must be 'n m'", "header must be two integers")
     if n < 0 or m < 0:
         raise InputError(f"line 1: n and m must be nonnegative, got n={n} m={m}")
     try:
@@ -378,18 +379,12 @@ def _read_edge_list_lines(text: str) -> Graph:
         rows[v].append(ids[u])
     if not _finish_rows(rows, 0, n):
         _check_no_repeat(lines, m + 2)  # raises: some edge repeats
-    return Graph._of_rows(n, tuple(rows))
+    return Graph._of_fields(n, tuple(rows))
 
 
 def _reject_edge_line(i: int, line: str, n: int):
     """Raise the error for edge line i, which is not a valid 'u v'."""
-    parts = line.split()
-    if len(parts) != 2:
-        raise InputError(f"line {i}: edge line must be 'u v', got {line!r}")
-    try:
-        u, v = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InputError(f"line {i}: edge endpoints must be integers, got {line!r}")
+    u, v = _line_ints(i, line, 2, "edge line must be 'u v'", "edge endpoints must be integers")
     if u == v:
         raise InputError(f"line {i}: self-loop at vertex {u}")
     if not (0 <= u < v):

@@ -25,7 +25,7 @@ from operator import add, eq, ne, sub
 
 from ._value import Value
 from .errors import InputError
-from .graphs import WRITE_BLOCK, Graph, _scan_blocks, regularity
+from .graphs import WRITE_BLOCK, Graph, _line_ints, _scan_blocks, regularity
 
 MAX_DIAGNOSTICS = 32
 # cells per band of rows in which `verify_grid` sums the weights
@@ -41,7 +41,7 @@ class Labeling(Value):
     is one by construction (`label_balanced`, `label_direct`,
     `label_cycle_product`, `parse_grid` after its own check, the search's
     witness, the lemma swaps, the scramble and the factor labelings that
-    coupling extracts) skip it through `_of_values`.
+    coupling extracts) skip it through `_of_fields`.
     """
 
     __slots__ = _fields = ("values",)
@@ -54,11 +54,6 @@ class Labeling(Value):
             v = next(v for v, x in enumerate(values) if type(x) is not int)
             raise InputError(f"label of vertex {v} must be an int, got {values[v]!r}")
         _check_bijection(values)
-
-    @classmethod
-    def _of_values(cls, values: tuple[int, ...]) -> "Labeling":
-        """A labeling whose builder guarantees a bijection; no check."""
-        return cls._of_fields(values)
 
     @property
     def n(self) -> int:
@@ -185,6 +180,7 @@ def verify_balanced(g: Graph, labeling: Labeling) -> VerifyReport:
     u in N(w) ascending that stops once MAX_DIAGNOSTICS are filled, with
     membership in N(t(u)) tested by bisection.
     """
+    # weights first: a uniform report repeats one int, freeing the n weight ints before twin lists
     base = verify_distance_magic(g, labeling)
     n = g.n
     if n % 2:
@@ -472,13 +468,8 @@ def _read_labeling_lines(text: str, n: int) -> list[int]:
     values = [0] * n
     seen_vertices = set()
     for i, line in enumerate(lines, start=1):
-        parts = line.split()
-        if len(parts) != 2:
-            raise InputError(f"line {i}: labeling line must be 'v label', got {line!r}")
-        try:
-            v, lab = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InputError(f"line {i}: labeling line must be two integers, got {line!r}")
+        v, lab = _line_ints(i, line, 2, "labeling line must be 'v label'",
+                            "labeling line must be two integers")
         if not (0 <= v < n):
             raise InputError(f"line {i}: vertex {v} out of range [0,{n})")
         if v in seen_vertices:

@@ -102,7 +102,7 @@ def product(kind: str, g: Graph, h: Graph) -> ProductGraph:
                 below = tuple(list(chain.from_iterable(low)))
                 above = tuple(list(chain.from_iterable(high)))
                 rows.extend([below + get(own) + above for get in getters])
-    return ProductGraph(Graph._of_rows(gn * hn, tuple(rows)), g, h, kind)
+    return ProductGraph(Graph._of_fields(gn * hn, tuple(rows)), g, h, kind)
 
 
 def _gather(positions: list[int]):

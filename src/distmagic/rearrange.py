@@ -86,7 +86,7 @@ def _exchange(bl: BalancedProductLabeling, a: int, b: int) -> BalancedProductLab
     twins = list(old)
     for v in {a, b, s(old[a]), s(old[b])}:
         twins[v] = s(old[s(v)])
-    return BalancedProductLabeling(bl.product, Labeling._of_values(tuple(vals)), tuple(twins))
+    return BalancedProductLabeling(bl.product, Labeling._of_fields(tuple(vals)), tuple(twins))
 
 
 def _require(condition, message):
@@ -97,6 +97,12 @@ def _require(condition, message):
 def _require_ids(ids, size, what):
     for x in ids:
         _require(0 <= x < size, f"{what} {x} out of range [0,{size})")
+
+
+def _require_twins(bl, a, b):
+    """Reject the (g, h) coordinate pairs a and b unless their vertices are twins."""
+    enc = bl.product.encode
+    _require(bl.twins[enc(*a)] == enc(*b), "({},{}) and ({},{}) are not twins".format(*a, *b))
 
 
 def swap_lemma1(bl: BalancedProductLabeling, v1: int, v2: int) -> BalancedProductLabeling:
@@ -130,14 +136,8 @@ def swap_lemma2(bl, g, gp, h, h1, h2) -> BalancedProductLabeling:
     _require_ids((h, h1, h2), prod.hsize, "h coordinate")
     _require(g != gp, "anchor layers must differ")
     _require(len({h, h1, h2}) == 3, "h, h1, h2 must be pairwise distinct")
-    _require(
-        bl.twins[prod.encode(g, h)] == prod.encode(gp, h),
-        f"({g},{h}) and ({gp},{h}) are not twins",
-    )
-    _require(
-        bl.twins[prod.encode(g, h1)] == prod.encode(g, h2),
-        f"({g},{h1}) and ({g},{h2}) are not twins",
-    )
+    _require_twins(bl, (g, h), (gp, h))
+    _require_twins(bl, (g, h1), (g, h2))
     return _exchange(bl, prod.encode(g, h2), prod.encode(gp, h1))
 
 
@@ -150,14 +150,8 @@ def swap_lemma3(bl, g, gp, gpp, h, hp) -> BalancedProductLabeling:
     _require_ids((h, hp), prod.hsize, "h coordinate")
     _require(gpp != gp, "g'' must differ from g'")
     _require(g != gp and g != gpp, "g must differ from g' and g''")
-    _require(
-        bl.twins[prod.encode(g, h)] == prod.encode(gp, h),
-        f"({g},{h}) and ({gp},{h}) are not twins",
-    )
-    _require(
-        bl.twins[prod.encode(g, hp)] == prod.encode(gpp, hp),
-        f"({g},{hp}) and ({gpp},{hp}) are not twins",
-    )
+    _require_twins(bl, (g, h), (gp, h))
+    _require_twins(bl, (g, hp), (gpp, hp))
     return _exchange(bl, prod.encode(gp, hp), prod.encode(gpp, hp))
 
 
@@ -291,7 +285,7 @@ def _pair_labeling(pairs) -> Labeling:
     for i, (a, b) in enumerate(sorted(pairs, key=min), start=1):
         values[min(a, b)] = i
         values[max(a, b)] = n + 1 - i
-    return Labeling._of_values(tuple(values))
+    return Labeling._of_fields(tuple(values))
 
 
 def extract_factor_labeling(bl: BalancedProductLabeling, outcome: CoupleOutcome):
@@ -359,7 +353,7 @@ def scramble_balanced(bl: BalancedProductLabeling, seed: int) -> BalancedProduct
             labels[i], labels[j] = labels[j], labels[i]
         for v, lab in zip(cls, labels):
             values[v] = lab
-    labeling = Labeling._of_values(tuple(values))
+    labeling = Labeling._of_fields(tuple(values))
     pos = label_positions(labeling)
     n = len(values)
     return BalancedProductLabeling(bl.product, labeling, tuple(pos[n - x] for x in values))

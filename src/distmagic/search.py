@@ -327,7 +327,7 @@ def _search_k(g: Graph, k: int, stats: SearchStats, max_nodes):
         while pos < n and assigned[order[pos]]:
             pos += 1
         if pos == n:
-            return Labeling._of_values(tuple(assigned))
+            return Labeling._of_fields(tuple(assigned))
         stack.append((pos, 0, len(trail)))
         while stack:
             pos, lab, mark = stack.pop()

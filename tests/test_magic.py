@@ -458,6 +458,26 @@ def test_weight_failures_extra_memory_per_vertex():
         (v, expected, x, "weight") for v, x in bad[:MAX_DIAGNOSTICS]]
 
 
+def test_verify_balanced_extra_memory_per_vertex():
+    # The weight report comes first: a uniform one keeps one int repeated, so
+    # the n fresh weight ints (32 bytes each) are freed before the twin lists
+    # exist.  Weights computed after the twin phase read 93 bytes a vertex on
+    # both products; in this order 53 and 61.
+    k88 = complete_bipartite(8, 8)
+    cases = [(cycle(128), label_cycle_product(128, 128), False),
+             (k88, label_direct(cycle(1024), k88, label_complete_bipartite(4)), True)]
+    for h, labeling, balanced in cases:
+        g = product(DIRECT, cycle(labeling.n // h.n), h).base
+        tracemalloc.start()
+        try:
+            report = verify_balanced(g, labeling)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.is_distance_magic and report.is_balanced == balanced
+        assert peak <= 75 * g.n
+
+
 BALANCED_FACTORS = [
     (cycle(4), label_c4()),
     (complete_bipartite(2, 2), label_complete_bipartite(1)),

@@ -152,6 +152,23 @@ def test_swap_lemmas_reject_ids_out_of_range(fn, g, seed, args, i, bad, what, si
         fn(bl, *bad_args)
 
 
+# per lemma premise, a call that fails it alone: the accepted call of
+# LEMMA_CALLS with one coordinate moved to a layer or h the twin is not in
+PREMISE_FAILURES = [
+    (swap_lemma2, C4, 9, (1, 2, 1, 0, 2), "(1,1) and (2,1) are not twins"),
+    (swap_lemma2, C4, 9, (1, 3, 1, 0, 3), "(1,0) and (1,3) are not twins"),
+    (swap_lemma3, complete_bipartite(3, 3), 1, (0, 3, 2, 2, 0), "(0,2) and (3,2) are not twins"),
+    (swap_lemma3, complete_bipartite(3, 3), 1, (0, 1, 3, 2, 0), "(0,0) and (3,0) are not twins"),
+]
+
+
+@pytest.mark.parametrize("fn,g,seed,args,message", PREMISE_FAILURES)
+def test_swap_lemmas_reject_each_failed_twin_premise(fn, g, seed, args, message):
+    bl = scramble_balanced(direct_bl(g), seed)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        fn(bl, *args)
+
+
 def test_swap_lemma3_rejects_gpp_equal_gp():
     k33 = complete_bipartite(3, 3)
     bl = scramble_balanced(direct_bl(k33), seed=1)

@@ -35,6 +35,8 @@ GRID = ["tests/test_magic.py", "-k", "grid"]
 EDGE_SCAN = ["tests/test_graphs.py", "-k", "respelled or error_past or line_by_line_reference"]
 GRID_INPUT = ["tests/test_constructors.py", "tests/test_cli.py"]
 PRODUCTS = ["tests/test_products.py"]
+LINE_READERS = ["tests/test_graphs.py", "tests/test_magic.py", "tests/test_constructors.py",
+                "-k", "line_by_line_reference"]
 WRITERS = ["tests/test_products.py", "tests/test_magic.py", "tests/test_constructors.py",
            "-k", "bytes_match_reference"]
 
@@ -83,6 +85,20 @@ MUTANTS = [
      "lo + max(h, th), plo + min(h, th)", "lo + min(h, th), plo + max(h, th)", COUPLING),
     ("coupling bound of |V(H)| exchanges per layer pair", "distmagic/rearrange.py",
      "if exchanges == 2 * hsize:", "if exchanges == hsize:", COUPLING),
+    # the exchange itself, and the twin premises of the public lemma swaps;
+    # the first premise of lemmas 2 and 3 is one call text, told apart by
+    # the line above it
+    ("exchange that writes one label twice", "distmagic/rearrange.py",
+     "    vals[a], vals[b] = vals[b], vals[a]\n", "    vals[a] = vals[b]\n", COUPLING),
+    ("lemma 2 without its anchor twin premise", "distmagic/rearrange.py",
+     "pairwise distinct\")\n    _require_twins(bl, (g, h), (gp, h))\n",
+     "pairwise distinct\")\n", COUPLING),
+    ("lemma 2 without its in-layer twin premise", "distmagic/rearrange.py",
+     "    _require_twins(bl, (g, h1), (g, h2))\n", "", COUPLING),
+    ("lemma 3 without its anchor twin premise", "distmagic/rearrange.py",
+     "g' and g''\")\n    _require_twins(bl, (g, h), (gp, h))\n", "g' and g''\")\n", COUPLING),
+    ("lemma 3 without its third-layer twin premise", "distmagic/rearrange.py",
+     "    _require_twins(bl, (g, hp), (gpp, hp))\n", "", COUPLING),
     # the Fisher-Yates swap of scramble_balanced
     ("scramble swap that duplicates a label", "distmagic/rearrange.py",
      "labels[i], labels[j] = labels[j], labels[i]", "labels[i] = labels[j]", COUPLING),
@@ -98,6 +114,9 @@ MUTANTS = [
     ("balanced labeling with complement label n - low", "distmagic/constructors.py",
      "            values[c[-1 - r]] = n + 1 - low\n",
      "            values[c[-1 - r]] = n - low\n", BALANCED),
+    # the cap on the twin diagnostics of verify_balanced
+    ("twin diagnostics capped at 31", "distmagic/magic.py",
+     "== MAX_DIAGNOSTICS:", "== MAX_DIAGNOSTICS - 1:", ["tests/test_magic.py"]),
     # magic.verify_grid in grid coordinates
     ("grid twins fail 3 pairs, not 4, by default", "distmagic/magic.py",
      "                         repeat(4)))\n", "                         repeat(3)))\n", GRID),
@@ -106,6 +125,9 @@ MUTANTS = [
      "            for d in (0, 2, -2)}\n", GRID),
     ("grid weights without the row-start mending", "distmagic/magic.py",
      "    sums[::n] = map(add, vert[n - 1 :: n], vert[1::n])\n", "", GRID),
+    # stage 5 of the grid constructor, which moves labels by mn/4
+    ("grid stage 5 moved by mn/4 + 1", "distmagic/constructors.py",
+     "e = d + total // 4\n", "e = d + total // 4 + 1\n", ["tests/test_constructors.py"]),
     # the bijection check of a grid read from text
     ("grid read without its bijection check", "distmagic/constructors.py",
      "    _check_bijection(values, f\"grid entries are not a bijection onto 1..{m * n}\")\n",
@@ -115,6 +137,13 @@ MUTANTS = [
      "zip(below, getters, above)])\n",
      "zip(below, getters, above)])\n"
      "                if a == gn - 1:\n                    rows[-1] = rows[-1][:-1]\n", PRODUCTS),
+    # the rows of a lexicographic product
+    ("lexicographic rows without {a} x N(b)", "distmagic/products.py",
+     "[below + get(own) + above for", "[below + above for", PRODUCTS),
+    # the token count of the line readers' one line parser
+    ("line parser that reads the first width tokens of a longer line", "distmagic/graphs.py",
+     "    if len(parts) != width:\n", "    parts = parts[:width]\n    if len(parts) != width:\n",
+     LINE_READERS),
     # the bulk scan's shape test, and the range check of the edge-list scan
     ("bulk scan without its shape test", "distmagic/graphs.py",
      "    if not text.endswith(\"\\n\") or rest != line_shape * (len(rest) // len(line_shape)):\n",
