@@ -1,19 +1,30 @@
 """The base of the library's value types.
 
-A value class names its fields in `_fields`, in the order of its
-constructor's parameters, keeps them in `__slots__`, and sets them in its
-own `__init__` through `_init`.  The base gives what a frozen dataclass
-would: equality and a hash by fields between values of one class, a repr
-listing the fields in order, no assignment or deletion of attributes, and
-pickling and copying that rebuild a value from its fields without running
-its `__init__` checks again.  It is written out rather than taken from
-`dataclasses`, whose import (with `inspect`, `ast` and `tokenize`) costs
-more than the rest of the package.
+A value class declares its fields once, in `_fields` (also its
+`__slots__`), with the defaults of the last ones in `_defaults`.  Unless it
+checks its arguments in its own `__init__`, which sets them by `_init`,
+the base writes its `__init__` at class creation, as `namedtuple` writes a
+`__new__`.  The base gives what a frozen dataclass would: equality and a
+hash by fields between values of one class, a repr listing the fields in
+order, no assignment or deletion of attributes, and pickling and copying
+that rebuild a value from its fields without its `__init__` checks.  It is
+written out rather than taken from `dataclasses`, whose import (with
+`inspect`, `ast` and `tokenize`) costs more than the rest of the package.
 """
 
 class Value:
     __slots__ = ()
     _fields = ()
+    _defaults = ()
+
+    def __init_subclass__(cls):
+        if "__init__" not in cls.__dict__:
+            args = ", ".join(cls._fields)
+            scope = {"__name__": cls.__module__}
+            exec(f"def __init__(self, {args}):\n    self._init({args})", scope)
+            cls.__init__ = init = scope["__init__"]
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            init.__defaults__ = cls._defaults or None
 
     def _init(self, *values):
         for name, x in zip(self._fields, values):

@@ -317,6 +317,8 @@ def _read_grid_lines(text: str) -> tuple[list[int], int, int, int]:
         if len(parts) != n:
             raise InputError(f"line {idx + 2}: expected {n} entries, got {len(parts)}")
         try:
+            if "_" in line:  # as in graphs._line_ints
+                raise ValueError(line)
             values[i * n : (i + 1) * n] = map(int, parts)
         except ValueError:
             raise InputError(f"line {idx + 2}: grid entries must be integers, got {line!r}")

@@ -25,7 +25,9 @@ list of all lines.  Lines may end in "\n" or, all of a block's alike, in
 line-by-line path, the only one that names a line in its errors; that path
 splits the whole text with `splitlines()`, and its header and line errors
 -- a line with the wrong number of tokens, or a token that is not an
-integer -- come from one parser, `_line_ints`.
+integer -- come from one parser, `_line_ints`.  It reads tokens with
+`int()`, so `+1`, leading zeros and other digits are read, but a token
+holding "_" (`int()` reads 1_0 as 10) is not an integer.
 
 The text writers here and in `magic` and `constructors` are generators of
 blocks of about WRITE_BLOCK lines, so a caller that writes block by block
@@ -342,6 +344,8 @@ def _line_ints(i: int, line: str, width: int, shape: str, ints: str) -> list[int
     if len(parts) != width:
         raise InputError(f"line {i}: {shape}, got {line!r}")
     try:
+        if "_" in line:  # int() reads 1_0 as 10, which no writer emits
+            raise ValueError(line)
         return list(map(int, parts))
     except ValueError:
         raise InputError(f"line {i}: {ints}, got {line!r}")
@@ -372,7 +376,7 @@ def _read_edge_list_lines(text: str) -> Graph:
             u, v = int(a), int(b)
         except ValueError:
             u = v = -1
-        if not (0 <= u < v < n):
+        if not (0 <= u < v < n) or "_" in line:
             _check_no_repeat(lines, i)  # a repeat on an earlier line comes first
             _reject_edge_line(i, line, n)
         rows[u].append(ids[v])

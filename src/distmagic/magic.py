@@ -116,20 +116,10 @@ class Diagnostic(Value):
 
     __slots__ = _fields = ("vertex", "expected", "actual", "kind")
 
-    def __init__(self, vertex: int, expected: int, actual: int, kind: str):
-        self._init(vertex, expected, actual, kind)
-
 
 class VerifyReport(Value):
     __slots__ = _fields = ("weights", "magic_constant", "is_distance_magic", "is_balanced",
                            "degenerate", "twin_map", "failures", "failure_count")
-
-    def __init__(self, weights: tuple[int, ...], magic_constant: int | None,
-                 is_distance_magic: bool, is_balanced: bool, degenerate: bool,
-                 twin_map: tuple[int, ...] | None, failures: tuple[Diagnostic, ...],
-                 failure_count: int):
-        self._init(weights, magic_constant, is_distance_magic, is_balanced, degenerate,
-                   twin_map, failures, failure_count)
 
 
 def verify_distance_magic(g: Graph, labeling: Labeling) -> VerifyReport:
@@ -387,15 +377,9 @@ class EitRow(Value):
 
     __slots__ = _fields = ("team", "strength", "opponents", "total")
 
-    def __init__(self, team: int, strength: int, opponents: tuple[int, ...], total: int):
-        self._init(team, strength, opponents, total)
-
 
 class EitSchedule(Value):
     __slots__ = _fields = ("teams", "rounds", "magic_constant", "rows")
-
-    def __init__(self, teams: int, rounds: int, magic_constant: int, rows: tuple[EitRow, ...]):
-        self._init(teams, rounds, magic_constant, rows)
 
 
 def eit_schedule(g: Graph, labeling: Labeling) -> EitSchedule:

@@ -36,9 +36,6 @@ class ProductGraph(Value):
 
     __slots__ = _fields = ("base", "factor_g", "factor_h", "kind")
 
-    def __init__(self, base: Graph, factor_g: Graph, factor_h: Graph, kind: str):
-        self._init(base, factor_g, factor_h, kind)
-
     @property
     def gsize(self) -> int:
         return self.factor_g.n

@@ -48,9 +48,6 @@ class BalancedProductLabeling(Value):
 
     __slots__ = _fields = ("product", "labeling", "twins")
 
-    def __init__(self, product: ProductGraph, labeling: Labeling, twins: tuple[int, ...]):
-        self._init(product, labeling, twins)
-
 
 def make_balanced(prod: ProductGraph, labeling: Labeling) -> BalancedProductLabeling:
     """Verify and wrap; rejects labelings that are not balanced on the product."""
@@ -160,10 +157,7 @@ class CoupleOutcome(Value):
     within a pair (g, g') the twin of (g,h) is (g',h) for every h."""
 
     __slots__ = _fields = ("tag", "closed_g", "pairs", "swaps")
-
-    def __init__(self, tag: str, closed_g: int | None = None,
-                 pairs: tuple[tuple[int, int], ...] | None = None, swaps: int = 0):
-        self._init(tag, closed_g, pairs, swaps)
+    _defaults = (None, None, 0)
 
 
 def _layer_closed(bl: BalancedProductLabeling, g: int) -> bool:

@@ -79,10 +79,6 @@ class SearchStats(Value):
 class SearchOutcome(Value):
     __slots__ = _fields = ("tag", "labeling", "magic_constant", "stats")
 
-    def __init__(self, tag: str, labeling: Labeling | None, magic_constant: int | None,
-                 stats: SearchStats):
-        self._init(tag, labeling, magic_constant, stats)
-
 
 def find_distance_magic(g: Graph, budget: SearchBudget | None = None) -> SearchOutcome:
     """Decide whether g admits a distance magic labeling.

@@ -188,6 +188,14 @@ def parse_outcome(parse, *args):
         return str(exc)
 
 
+def int_reference(token: str) -> int:
+    """int(token), except that a token holding "_" is not an integer: int()
+    reads "1_0" as 10, a spelling no writer emits."""
+    if "_" in token:
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_edge_list_reference(text: str) -> Graph:
     """The edge-list parser that checks each line in turn, duplicates against
     a set of every edge read, and builds through the checked Graph(n, rows);
@@ -199,7 +207,7 @@ def parse_edge_list_reference(text: str) -> Graph:
     if len(header) != 2:
         raise InputError(f"line 1: header must be 'n m', got {lines[0]!r}")
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = int_reference(header[0]), int_reference(header[1])
     except ValueError:
         raise InputError(f"line 1: header must be two integers, got {lines[0]!r}")
     if n < 0 or m < 0:
@@ -215,7 +223,7 @@ def parse_edge_list_reference(text: str) -> Graph:
         if len(parts) != 2:
             raise InputError(f"line {i}: edge line must be 'u v', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = int_reference(parts[0]), int_reference(parts[1])
         except ValueError:
             raise InputError(f"line {i}: edge endpoints must be integers, got {line!r}")
         if u == v:
@@ -245,7 +253,7 @@ def parse_labeling_reference(text: str, n: int) -> Labeling:
         if len(parts) != 2:
             raise InputError(f"line {i}: labeling line must be 'v label', got {line!r}")
         try:
-            v, lab = int(parts[0]), int(parts[1])
+            v, lab = int_reference(parts[0]), int_reference(parts[1])
         except ValueError:
             raise InputError(f"line {i}: labeling line must be two integers, got {line!r}")
         if not (0 <= v < n):
@@ -268,7 +276,7 @@ def parse_grid_reference(text: str) -> tuple[Labeling, int, int, int]:
     if len(header) != 3:
         raise InputError(f"line 1: grid header must be 'm n k', got {lines[0]!r}")
     try:
-        m, n, k = (int(x) for x in header)
+        m, n, k = (int_reference(x) for x in header)
     except ValueError:
         raise InputError(f"line 1: grid header must be three integers, got {lines[0]!r}")
     if m < 3 or n < 3:
@@ -285,7 +293,7 @@ def parse_grid_reference(text: str) -> tuple[Labeling, int, int, int]:
         if len(parts) != n:
             raise InputError(f"line {i}: expected {n} entries, got {len(parts)}")
         try:
-            printed.append([int(x) for x in parts])
+            printed.append([int_reference(x) for x in parts])
         except ValueError:
             raise InputError(f"line {i}: grid entries must be integers, got {line!r}")
     values = tuple(x for row in reversed(printed) for x in row)

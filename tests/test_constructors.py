@@ -290,7 +290,7 @@ def test_grid_rejects_bad_header(text, error):
         parse_grid(text)
 
 
-BAD_GRID_ENTRIES = ["x", "-1", "0", "", "1 2"]
+BAD_GRID_ENTRIES = ["x", "-1", "0", "", "1 2", "0_1"]
 
 
 @st.composite
@@ -322,6 +322,21 @@ def test_parse_grid_matches_line_by_line_reference(text):
 
 # a grid text of several scan blocks; its last line is line 129
 LONG_GRID = label_cycle_product(128, 128)
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        # int() reads 0_9 as 9 and 1_0 as 10, so each grid would be read
+        ("3 3 0\n1 2 3\n4 5 6\n7 8 0_9\n",
+         "line 4: grid entries must be integers, got '7 8 0_9'"),
+        ("3 3 1_0\n1 2 3\n4 5 6\n7 8 9\n", "line 1: grid header must be three integers, "
+                                            "got '3 3 1_0'"),
+    ],
+)
+def test_grid_token_holding_underscore_is_rejected(text, error):
+    assert parse_outcome(parse_grid, text) == error
+    assert parse_outcome(parse_grid_reference, text) == error
 
 
 def test_crlf_grid_is_read_in_bulk():

@@ -200,7 +200,22 @@ def test_parse_edge_list_errors(text, fragment):
         parse_edge_list(text)
 
 
-BAD_EDGE_LINES = ["0 x", "1", "1 2 3", "", "-1 2", " 0   2 "]
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        # int() reads 1_0 as 10, so each line would be valid
+        ("11 1\n0 1_0\n", "line 2: edge endpoints must be integers, got '0 1_0'"),
+        ("1_1 1\n0 1\n", "line 1: header must be two integers, got '1_1 1'"),
+        # the first bad line is reported, here a repeat before the underscore
+        ("3 3\n0 1\n0 1\n0 0_2\n", "line 3: duplicate edge (0,1)"),
+    ],
+)
+def test_edge_list_token_holding_underscore_is_rejected(text, error):
+    assert parse_outcome(parse_edge_list, text) == error
+    assert parse_outcome(parse_edge_list_reference, text) == error
+
+
+BAD_EDGE_LINES = ["0 x", "1", "1 2 3", "", "-1 2", " 0   2 ", "0 0_1"]
 
 
 @st.composite

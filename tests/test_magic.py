@@ -547,7 +547,7 @@ def test_parse_labeling_errors(text, fragment):
         parse_labeling(text, 4)
 
 
-BAD_LABELING_LINES = ["0 x", "1", "1 2 3", "", "-1 2", " 0   2 "]
+BAD_LABELING_LINES = ["0 x", "1", "1 2 3", "", "-1 2", " 0   2 ", "0 0_1"]
 
 
 @st.composite
@@ -582,6 +582,19 @@ def test_parse_labeling_matches_line_by_line_reference(n_text):
 
 # a labeling text of several scan blocks; its last line is line 10000
 LONG_LABELING = Labeling(tuple(range(1, 10001)))
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        # int() reads 0_1 as 1 and 0_0 as 0, so each text would be valid
+        ("0 2\n1 0_1\n", "line 2: labeling line must be two integers, got '1 0_1'"),
+        ("0_0 2\n1 1\n", "line 1: labeling line must be two integers, got '0_0 2'"),
+    ],
+)
+def test_labeling_token_holding_underscore_is_rejected(text, error):
+    assert parse_outcome(parse_labeling, text, 2) == error
+    assert parse_outcome(parse_labeling_reference, text, 2) == error
 
 
 def test_crlf_labeling_is_read_in_bulk():

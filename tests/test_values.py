@@ -2,21 +2,29 @@
 immutability, pickling and copying, and their constructors' forms."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
 
 from distmagic.constructors import label_c4, label_direct
-from distmagic.graphs import cycle, path
+from distmagic.graphs import Graph, cycle, path
 from distmagic.magic import (
     Diagnostic,
     EitRow,
+    EitSchedule,
     Labeling,
+    VerifyReport,
     eit_schedule,
     verify_balanced,
 )
-from distmagic.products import DIRECT, LEXICOGRAPHIC, product
-from distmagic.rearrange import COUPLED_PAIRS, CoupleOutcome, make_balanced
+from distmagic.products import DIRECT, LEXICOGRAPHIC, ProductGraph, product
+from distmagic.rearrange import (
+    COUPLED_PAIRS,
+    BalancedProductLabeling,
+    CoupleOutcome,
+    make_balanced,
+)
 from distmagic.search import SearchBudget, SearchOutcome, SearchStats, find_distance_magic
 
 C4_LABELS = Labeling((1, 2, 4, 3))
@@ -86,3 +94,42 @@ def test_constructor_defaults_and_keyword_forms():
     assert SearchBudget() == SearchBudget(None)
     assert SearchStats() == SearchStats(0, 0, {}, None)
     assert SearchStats().prunes is not SearchStats().prunes
+
+
+ANY = inspect.Parameter.POSITIONAL_OR_KEYWORD
+NO_DEFAULT = inspect.Parameter.empty
+
+# each value class's constructor parameters as inspect.signature reads them:
+# (name, kind, default), in order
+SIGNATURES = {
+    Graph: [("n", ANY, NO_DEFAULT), ("adjacency", ANY, NO_DEFAULT)],
+    Labeling: [("values", ANY, NO_DEFAULT)],
+    Diagnostic: [("vertex", ANY, NO_DEFAULT), ("expected", ANY, NO_DEFAULT),
+                 ("actual", ANY, NO_DEFAULT), ("kind", ANY, NO_DEFAULT)],
+    VerifyReport: [("weights", ANY, NO_DEFAULT), ("magic_constant", ANY, NO_DEFAULT),
+                   ("is_distance_magic", ANY, NO_DEFAULT), ("is_balanced", ANY, NO_DEFAULT),
+                   ("degenerate", ANY, NO_DEFAULT), ("twin_map", ANY, NO_DEFAULT),
+                   ("failures", ANY, NO_DEFAULT), ("failure_count", ANY, NO_DEFAULT)],
+    EitRow: [("team", ANY, NO_DEFAULT), ("strength", ANY, NO_DEFAULT),
+             ("opponents", ANY, NO_DEFAULT), ("total", ANY, NO_DEFAULT)],
+    EitSchedule: [("teams", ANY, NO_DEFAULT), ("rounds", ANY, NO_DEFAULT),
+                  ("magic_constant", ANY, NO_DEFAULT), ("rows", ANY, NO_DEFAULT)],
+    ProductGraph: [("base", ANY, NO_DEFAULT), ("factor_g", ANY, NO_DEFAULT),
+                   ("factor_h", ANY, NO_DEFAULT), ("kind", ANY, NO_DEFAULT)],
+    BalancedProductLabeling: [("product", ANY, NO_DEFAULT), ("labeling", ANY, NO_DEFAULT),
+                              ("twins", ANY, NO_DEFAULT)],
+    CoupleOutcome: [("tag", ANY, NO_DEFAULT), ("closed_g", ANY, None), ("pairs", ANY, None),
+                    ("swaps", ANY, 0)],
+    SearchBudget: [("max_nodes", ANY, None)],
+    SearchStats: [("nodes", ANY, 0), ("steps", ANY, 0), ("prunes", ANY, None),
+                  ("forced_equal", ANY, None)],
+    SearchOutcome: [("tag", ANY, NO_DEFAULT), ("labeling", ANY, NO_DEFAULT),
+                    ("magic_constant", ANY, NO_DEFAULT), ("stats", ANY, NO_DEFAULT)],
+}
+
+
+@pytest.mark.parametrize("cls", SIGNATURES, ids=[cls.__name__ for cls in SIGNATURES])
+def test_constructor_signature(cls):
+    params = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == SIGNATURES[cls]
+    assert [name for name, _, _ in SIGNATURES[cls]] == list(cls._fields)

@@ -39,9 +39,24 @@ LINE_READERS = ["tests/test_graphs.py", "tests/test_magic.py", "tests/test_const
                 "-k", "line_by_line_reference"]
 WRITERS = ["tests/test_products.py", "tests/test_magic.py", "tests/test_constructors.py",
            "-k", "bytes_match_reference"]
+UNDERSCORES = ["tests/test_graphs.py", "tests/test_magic.py", "tests/test_constructors.py",
+               "-k", "underscore"]
 
 # (name, file under src, exact old text, new text, pytest selector)
 MUTANTS = [
+    # the constructor that _value.Value writes from a class's fields
+    ("generated constructor without its defaults", "distmagic/_value.py",
+     "            init.__defaults__ = cls._defaults or None\n", "", ["tests/test_values.py"]),
+    # the checks of Graph(n, rows)
+    ("Graph(n, rows) without its symmetry check", "distmagic/graphs.py",
+     "                back = adj[u]\n"
+     "                i = bisect_left(back, v)\n"
+     "                if i == len(back) or back[i] != v:\n"
+     "                    raise InputError("
+     "f\"vertex {u} is in row {v}, but {v} is not in row {u}\")\n",
+     "", ["tests/test_graphs.py"]),
+    ("Graph(n, rows) without its order check", "distmagic/graphs.py",
+     "if not (prev < u < n):", "if not (-1 < u < n):", ["tests/test_graphs.py"]),
     # back substitution in search._kernel_keys
     ("kernel key without sign normalization", "distmagic/search.py",
      "        if d < 0:\n            q = -q\n", "", KERNEL_ORACLE),
@@ -114,9 +129,11 @@ MUTANTS = [
     ("balanced labeling with complement label n - low", "distmagic/constructors.py",
      "            values[c[-1 - r]] = n + 1 - low\n",
      "            values[c[-1 - r]] = n - low\n", BALANCED),
-    # the cap on the twin diagnostics of verify_balanced
+    # the cap on the twin diagnostics of verify_balanced, and their (w, u) order
     ("twin diagnostics capped at 31", "distmagic/magic.py",
      "== MAX_DIAGNOSTICS:", "== MAX_DIAGNOSTICS - 1:", ["tests/test_magic.py"]),
+    ("twin diagnostics unsorted", "distmagic/magic.py",
+     "for u in row(w):", "for u in reversed(row(w)):", ["tests/test_magic.py"]),
     # magic.verify_grid in grid coordinates
     ("grid twins fail 3 pairs, not 4, by default", "distmagic/magic.py",
      "                         repeat(4)))\n", "                         repeat(3)))\n", GRID),
@@ -137,6 +154,14 @@ MUTANTS = [
      "zip(below, getters, above)])\n",
      "zip(below, getters, above)])\n"
      "                if a == gn - 1:\n                    rows[-1] = rows[-1][:-1]\n", PRODUCTS),
+    ("Cartesian rows with N(a) x N(b)", "distmagic/products.py",
+     "                below = list(zip(*low)) if low else [()] * hn\n"
+     "                above = list(zip(*high)) if high else [()] * hn\n",
+     "                below = [tuple(chain.from_iterable(get(b) for b in low))"
+     " for get in getters]\n"
+     "                above = [tuple(chain.from_iterable(get(b) for b in high))"
+     " for get in getters]\n",
+     PRODUCTS),
     # the rows of a lexicographic product
     ("lexicographic rows without {a} x N(b)", "distmagic/products.py",
      "[below + get(own) + above for", "[below + above for", PRODUCTS),
@@ -144,6 +169,15 @@ MUTANTS = [
     ("line parser that reads the first width tokens of a longer line", "distmagic/graphs.py",
      "    if len(parts) != width:\n", "    parts = parts[:width]\n    if len(parts) != width:\n",
      LINE_READERS),
+    # the line readers' rejection of a token holding "_", which int() reads
+    ("line parser that reads 1_0 as 10", "distmagic/graphs.py",
+     "        if \"_\" in line:  # int() reads 1_0 as 10, which no writer emits\n"
+     "            raise ValueError(line)\n", "", UNDERSCORES),
+    ("edge-list line loop that reads 1_0 as 10", "distmagic/graphs.py",
+     "if not (0 <= u < v < n) or \"_\" in line:", "if not (0 <= u < v < n):", UNDERSCORES),
+    ("grid rows that read 1_0 as 10", "distmagic/constructors.py",
+     "            if \"_\" in line:  # as in graphs._line_ints\n"
+     "                raise ValueError(line)\n", "", UNDERSCORES),
     # the bulk scan's shape test, and the range check of the edge-list scan
     ("bulk scan without its shape test", "distmagic/graphs.py",
      "    if not text.endswith(\"\\n\") or rest != line_shape * (len(rest) // len(line_shape)):\n",
